@@ -4,12 +4,11 @@ derivative and series bounds, selection tail bounds, privacy ratios)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import NoiseKind, OutOfRange
 from .mechanism import log_gumbel_selection_pmf
@@ -29,6 +28,8 @@ class SoftmaxSpec:
     function f(x) = sum_i t_i e^{-t_i} / sum_i e^{-t_i} with t_i = 2^x a_i."""
 
     a: np.ndarray
+    # Below this x neither 2^x nor any t_i = 2^x a_i overflows.
+    overflow_x: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=float)
@@ -39,13 +40,31 @@ class SoftmaxSpec:
             raise OutOfRange("a must be nonnegative")
         if a.min() > 1e-12:
             raise OutOfRange("a must contain a zero entry")
+        top = float(a.max())
+        safe_x = 1023.0 - math.log2(top) if top > 0.0 else math.inf
+        object.__setattr__(self, "overflow_x", min(safe_x, 1023.0))
 
 
 def softmax_f(spec: SoftmaxSpec, x: float) -> float:
-    """Evaluate f(x) with overflow-safe exponent shifting."""
-    t = (2.0 ** x) * spec.a
+    """Evaluate f(x) with overflow-safe exponent shifting.
+
+    Where t_i = 2^x a_i overflows to inf, its weight e^{-(t_i - t_min)} is 0
+    (the zero entry keeps t_min finite), so the term is dropped rather than
+    contributing inf * 0 = nan.
+    """
+    if x < spec.overflow_x:
+        t = (2.0 ** x) * spec.a
+        w = np.exp(-(t - t.min()))
+        return float((t * w).sum() / w.sum())
+    # 2.0 ** x raises OverflowError from x = 1024 on, so scale by the integer
+    # part with ldexp, which saturates to inf. Past 2^2200 every positive t_i
+    # is inf anyway, so the exponent is capped there.
+    whole = math.floor(x)
+    with np.errstate(over="ignore"):
+        t = np.ldexp((2.0 ** (x - whole)) * spec.a, min(whole, 2200))
     w = np.exp(-(t - t.min()))
-    return float((t * w).sum() / w.sum())
+    kept = w > 0.0
+    return float((t[kept] * w[kept]).sum() / w.sum())
 
 
 def check_derivative_bound(spec: SoftmaxSpec, xs: Sequence[float], h: float) -> float:
@@ -107,7 +126,9 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
         + i * logp + (n - i) * logq
         for i in range(k + 1)
     ]
-    return float(min(1.0, math.exp(logsumexp(terms))))
+    terms = np.array(terms)
+    top = terms.max()
+    return float(min(1.0, math.exp(top + math.log(np.exp(terms - top).sum()))))
 
 
 def binomial_cdf_exact(k: int, n: int, p: Fraction) -> Fraction:

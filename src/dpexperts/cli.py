@@ -12,7 +12,7 @@ from typing import List, Optional
 
 from .analysis import exact_det_gumbel_regret_epochs
 from .core import MechanismSpec, NoiseKind
-from .harness import sweep, write_csv
+from .harness import default_workers, sweep, write_csv
 from .instances import InstanceSpecError, parse_instance_spec, uniform_grid_instance
 from .svg import line_chart
 from .verify import SUITES, run_suites
@@ -27,18 +27,22 @@ class _UsageError(Exception):
     pass
 
 
-def _floats(text: str) -> List[float]:
+def _floats(text: str, option: str) -> List[float]:
     try:
         vals = [float(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
-        raise _UsageError(f"bad numeric list {text!r}") from exc
+        raise _UsageError(f"{option}: bad numeric list {text!r}") from exc
     if not vals:
-        raise _UsageError(f"empty numeric list {text!r}")
+        raise _UsageError(f"{option}: empty numeric list {text!r}")
     return vals
 
 
-def _ints(text: str) -> List[int]:
-    return [int(v) for v in _floats(text)]
+def _ints(text: str, option: str) -> List[int]:
+    vals = _floats(text, option)
+    bad = [v for v in vals if not v.is_integer()]
+    if bad:
+        raise _UsageError(f"{option}: {bad[0]:g} is not an integer")
+    return [int(v) for v in vals]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -53,11 +57,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         specs = [MechanismSpec(resample=args.B, noise=noise)]
     else:
         specs = [MechanismSpec(resample=args.B, noise=noise, epsilon=eps)
-                 for eps in _floats(args.eps)]
-    horizons = _ints(args.T)
+                 for eps in _floats(args.eps, "--eps")]
+    horizons = _ints(args.T, "--T")
     if any(t < 1 for t in horizons):
         raise _UsageError("every horizon must be >= 1")
-    cells = sweep(instances, specs, horizons, args.trials, args.seed)
+    try:
+        workers = default_workers()
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    cells = sweep(instances, specs, horizons, args.trials, args.seed, max_workers=workers)
     if args.out:
         write_csv(cells, args.out)
     else:
@@ -68,7 +76,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     if args.means is not None:
-        means = _floats(args.means)
+        means = _floats(args.means, "--means")
     elif args.K is not None:
         if args.K < 2:
             raise _UsageError("--K must be >= 2")

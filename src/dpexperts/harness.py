@@ -65,6 +65,18 @@ def selection_frequency(instance: Instance, spec: MechanismSpec, r: int,
     return np.bincount(selections, minlength=instance.k) / trials
 
 
+def default_workers() -> int:
+    """Sweep worker count from DPEXPERTS_THREADS, 1 if unset."""
+    raw = os.environ.get("DPEXPERTS_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"DPEXPERTS_THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def sweep(instances: Sequence[Tuple[str, Instance]], specs: Sequence[MechanismSpec],
           horizons: Sequence[int], trials: int, base_seed: int,
           max_workers: Optional[int] = None) -> List[SweepCell]:
@@ -81,7 +93,7 @@ def sweep(instances: Sequence[Tuple[str, Instance]], specs: Sequence[MechanismSp
         for horizon in horizons
     ]
     if max_workers is None:
-        max_workers = int(os.environ.get("DPEXPERTS_THREADS", "1"))
+        max_workers = default_workers()
 
     def evaluate(idx_cell):
         idx, (label, instance, spec, horizon) = idx_cell

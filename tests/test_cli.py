@@ -47,6 +47,15 @@ class TestRun:
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
 
+    def test_fractional_horizon_is_rejected(self, capsys):
+        assert main(["run", "--instance", "det:0,1", "--T", "7,7.9"]) == EXIT_USAGE
+        assert "--T" in capsys.readouterr().err
+
+    def test_bad_thread_count_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("DPEXPERTS_THREADS", "two")
+        assert main(["run", "--instance", "det:0,1", "--T", "7", "--trials", "5"]) == EXIT_USAGE
+        assert "DPEXPERTS_THREADS" in capsys.readouterr().err
+
 
 class TestExact:
     def test_table_output(self, capsys):

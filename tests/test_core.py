@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dpexperts
 from dpexperts.core import (
     Bernoulli,
     FiniteSupport,
@@ -167,3 +171,24 @@ class TestRecords:
             RegretEstimate(mean=1.0, stderr=0.1, trials=0)
         with pytest.raises(OutOfRange):
             RegretEstimate(mean=1.0, stderr=-0.1, trials=10)
+
+
+class TestPackage:
+    def test_modules_import_without_scipy(self):
+        # scipy is a test-only dependency: no module of the package may load it.
+        code = (
+            "import importlib, pkgutil, sys\n"
+            "import dpexperts\n"
+            "names = [m.name for m in pkgutil.iter_modules(dpexperts.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('dpexperts.' + name)\n"
+            "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "print(len(names), sorted(scipy))\n"
+        )
+        src = os.path.dirname(os.path.dirname(dpexperts.__file__))
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
+        count, loaded = out.stdout.split(" ", 1)
+        assert int(count) >= 10
+        assert loaded.strip() == "[]"
