@@ -169,14 +169,19 @@ def tail_bound(kind: NoiseKind, r: int, delta: float, epsilon: float,
 
 
 def gumbel_privacy_ratio(scores: np.ndarray, scores_prime: np.ndarray,
-                         epsilon: float) -> float:
+                         epsilon: float):
     """max_j p_j(G) / p_j(G') for the exact Gumbel selection pmfs of two score
-    vectors differing by at most 1 per coordinate."""
+    vectors differing by at most 1 per coordinate.
+
+    scores_prime may also be an (m, K) array of neighbours of the one vector
+    G; the m ratios then come back as an array, scored in one call.
+    """
     g = np.asarray(scores, dtype=float)
     gp = np.asarray(scores_prime, dtype=float)
-    if g.shape != gp.shape:
+    if g.ndim != 1 or gp.shape[-1:] != g.shape or gp.ndim > 2:
         raise AdjacencyViolation("score vectors must have the same length")
     if np.abs(g - gp).max() > 1.0 + 1e-12:
         raise AdjacencyViolation("score vectors differ by more than 1 in a coordinate")
     diff = log_gumbel_selection_pmf(g, epsilon) - log_gumbel_selection_pmf(gp, epsilon)
-    return float(np.exp(diff.max()))
+    ratio = np.exp(diff.max(axis=-1))
+    return float(ratio) if gp.ndim == 1 else ratio

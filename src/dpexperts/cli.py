@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from typing import List, Optional
 
@@ -34,7 +35,16 @@ def _floats(text: str, option: str) -> List[float]:
         raise _UsageError(f"{option}: bad numeric list {text!r}") from exc
     if not vals:
         raise _UsageError(f"{option}: empty numeric list {text!r}")
+    bad = [v for v in vals if not math.isfinite(v)]
+    if bad:
+        raise _UsageError(f"{option}: {bad[0]} is not a finite number")
     return vals
+
+
+def _positive(value: float, option: str) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise _UsageError(f"{option} must be positive and finite, got {value:g}")
+    return value
 
 
 def _ints(text: str, option: str) -> List[int]:
@@ -56,7 +66,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if noise is NoiseKind.NONE:
         specs = [MechanismSpec(resample=args.B, noise=noise)]
     else:
-        specs = [MechanismSpec(resample=args.B, noise=noise, epsilon=eps)
+        specs = [MechanismSpec(resample=args.B, noise=noise, epsilon=_positive(eps, "--eps"))
                  for eps in _floats(args.eps, "--eps")]
     horizons = _ints(args.T, "--T")
     if any(t < 1 for t in horizons):
@@ -83,8 +93,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         means = list(uniform_grid_instance(args.K).means)
     else:
         raise _UsageError("provide --means or --K")
-    if args.eps <= 0:
-        raise _UsageError("--eps must be positive")
+    _positive(args.eps, "--eps")
     if args.R < 1:
         raise _UsageError("--R must be >= 1")
     contributions = exact_det_gumbel_regret_epochs(means, args.eps, args.R)

@@ -101,14 +101,24 @@ def sample_scores(instance: Instance, resample: int, length: int, trials: int,
     of the expected mean, independently across steps); without resampling,
     point masses accumulate deterministically, Bernoulli losses are binomial,
     and finite-support losses reduce to multinomial atom counts.
+
+    Point-mass columns consume no randomness; the random columns draw in
+    column order. When no column is random (no resampling, every model a
+    point mass) the result is `np.broadcast_to` of the single score row: a
+    read-only view in which every trial shares that row's memory.
     """
+    point = np.array([not resample and isinstance(m, PointMass) for m in instance.models])
+    fixed = length * instance.means[point]
+    if point.all():
+        return np.broadcast_to(fixed, (trials, instance.k))
     gen = rng.generator
     scores = np.empty((trials, instance.k))
+    scores[:, point] = fixed
     for j, model in enumerate(instance.models):
+        if point[j]:
+            continue
         if resample or isinstance(model, Bernoulli):
             scores[:, j] = gen.binomial(length, model.mean(), size=trials)
-        elif isinstance(model, PointMass):
-            scores[:, j] = length * model.value
         elif isinstance(model, FiniteSupport):
             values = np.array([v for v, _ in model.atoms])
             probs = np.array([p for _, p in model.atoms])

@@ -52,7 +52,13 @@ def report_noisy_max(scores: np.ndarray, spec: MechanismSpec, rng: RngStream) ->
 
 
 def select_batch(scores: np.ndarray, spec: MechanismSpec, rng: RngStream) -> np.ndarray:
-    """Vectorized report_noisy_max over rows of a (trials, K) score matrix."""
+    """Vectorized report_noisy_max over rows of a (trials, K) score matrix.
+
+    The scores are only read, so a broadcast view of one row will do. With
+    noise, the noisy values are built in the inverse CDF's output array as
+    Q - G, which is bitwise -G + Q; besides the scores, the uniforms and that
+    array are the only (trials, K) floats held at once.
+    """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     n, k = scores.shape
     if spec.noise is NoiseKind.NONE:
@@ -62,7 +68,8 @@ def select_batch(scores: np.ndarray, spec: MechanismSpec, rng: RngStream) -> np.
         pick = np.minimum((rng.uniform(n) * counts).astype(int), counts - 1)
         cum = np.cumsum(is_min, axis=1)
         return np.argmax(cum == (pick + 1)[:, None], axis=1)
-    noisy = -scores + noise_ppf(spec.noise, rng.uniform((n, k)), spec.scale())
+    noisy = noise_ppf(spec.noise, rng.uniform((n, k)), spec.scale())
+    noisy -= scores
     return np.argmax(noisy, axis=1)
 
 
@@ -80,12 +87,15 @@ def gumbel_selection_pmf(scores: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def log_gumbel_selection_pmf(scores: np.ndarray, epsilon: float) -> np.ndarray:
-    """Log of gumbel_selection_pmf, usable when probabilities underflow."""
+    """Log of gumbel_selection_pmf, usable when probabilities underflow.
+
+    Works along the last axis, so a (m, K) array gives m log-pmfs at once.
+    """
     if epsilon <= 0.0:
         raise OutOfRange("epsilon must be positive")
     z = -np.asarray(scores, dtype=float) * (epsilon / 2.0)
-    z = z - z.max()
-    return z - np.log(np.exp(z).sum())
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 # Unit-scale Laplace and Exponential noise, piecewise: on each side of 0 the

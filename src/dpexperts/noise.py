@@ -5,9 +5,6 @@ sequences are bit-reproducible from the seed alone.
 """
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 import numpy as np
 
 from .core import MechanismSpec, NoiseKind
@@ -18,6 +15,17 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Clamp uniforms away from {0, 1} before logs; keeps inverse CDFs finite.
 _U_EPS = 1e-300
 _U_TOP = 1.0 - 1e-16
+
+
+def _clipped_copy(u, lo: float) -> np.ndarray:
+    """u clipped to [lo, _U_TOP] as a new float array (0-d for a scalar).
+
+    The inverse CDFs below work in place on this one copy, so the caller's
+    array is never written and no other trials x K temporary is made; they
+    return x[()], a scalar for 0-d input and x itself otherwise.
+    """
+    x = np.array(u, dtype=float)
+    return np.clip(x, lo, _U_TOP, out=x)
 
 
 def splitmix64(z: int) -> int:
@@ -75,8 +83,24 @@ def laplace_cdf(x, scale: float):
 
 
 def laplace_ppf(u, scale: float):
-    u = np.clip(np.asarray(u, float), _U_EPS, _U_TOP)
-    return np.where(u < 0.5, scale * np.log(2.0 * u), -scale * np.log(2.0 * (1.0 - u)))
+    """scale * log(2u) below 1/2 and -scale * log(2(1 - u)) from 1/2 on, with
+    one log of 2 min(u, 1 - u).
+
+    With s = +1 below 1/2 and -1 from 1/2 on, s u + [u >= 1/2] is u or 1 - u,
+    exact by Sterbenz's lemma, and the final product with s is an exact
+    negation (also -0.0 at u = 1/2), so the result is bitwise that of the two
+    formulas. Masked ufuncs (`where=`) would do the same several times slower.
+    """
+    x = _clipped_copy(u, _U_EPS)
+    upper = (x >= 0.5).astype(np.int8)
+    sign = 1 - 2 * upper
+    x *= sign
+    x += upper
+    x *= 2.0
+    np.log(x, out=x)
+    x *= scale
+    x *= sign
+    return x[()]
 
 
 # --- Exponential(beta): density (1/beta) exp(-x/beta) on x >= 0 ---
@@ -92,8 +116,11 @@ def exponential_cdf(x, scale: float):
 
 
 def exponential_ppf(u, scale: float):
-    u = np.clip(np.asarray(u, float), 0.0, _U_TOP)
-    return -scale * np.log1p(-u)
+    x = _clipped_copy(u, 0.0)
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    x *= -scale
+    return x[()]
 
 
 # --- Gumbel(beta): density (1/beta) exp(-x/beta - exp(-x/beta)) ---
@@ -108,31 +135,12 @@ def gumbel_cdf(x, scale: float):
 
 
 def gumbel_ppf(u, scale: float):
-    u = np.clip(np.asarray(u, float), _U_EPS, _U_TOP)
-    return -scale * np.log(-np.log(u))
-
-
-def sample_laplace(scale: float, rng: RngStream, size=None):
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    return laplace_ppf(rng.uniform(size), scale)
-
-
-def sample_exponential(scale: float, rng: RngStream, size=None):
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    return exponential_ppf(rng.uniform(size), scale)
-
-
-def sample_gumbel(scale: float, rng: RngStream, size=None):
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    return gumbel_ppf(rng.uniform(size), scale)
-
-
-def noise_scale(spec: MechanismSpec) -> float:
-    """Scale of the configured noise: 2/eps for every family, or 0 for no noise."""
-    return spec.scale()
+    x = _clipped_copy(u, _U_EPS)
+    np.log(x, out=x)
+    np.negative(x, out=x)
+    np.log(x, out=x)
+    x *= -scale
+    return x[()]
 
 
 _PPF = {

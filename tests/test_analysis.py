@@ -184,3 +184,18 @@ class TestGumbelPrivacyRatio:
             gumbel_privacy_ratio(np.array([0.0, 0.0]), np.array([0.0, 1.5]), 1.0)
         with pytest.raises(AdjacencyViolation):
             gumbel_privacy_ratio(np.array([0.0]), np.array([0.0, 0.0]), 1.0)
+        with pytest.raises(AdjacencyViolation):
+            gumbel_privacy_ratio(np.zeros(3), np.array([[0.0, 0.5, 0.0], [0.0, 0.0, -1.5]]), 1.0)
+        with pytest.raises(AdjacencyViolation):
+            gumbel_privacy_ratio(np.zeros(3), np.zeros((4, 2)), 1.0)
+
+    def test_batched_ratios_match_pairwise(self):
+        rng = np.random.default_rng(17)
+        for k in (2, 3, 5, 8):
+            g = rng.uniform(0.0, 5.0, size=k)
+            neighbours = g + rng.uniform(-1.0, 1.0, size=(60, k))
+            for eps in (0.5, 1.0, 2.0):
+                ratios = gumbel_privacy_ratio(g, neighbours, eps)
+                assert ratios.shape == (60,)
+                pairwise = [gumbel_privacy_ratio(g, row, eps) for row in neighbours]
+                assert np.abs(ratios - pairwise).max() <= 1e-12

@@ -51,6 +51,12 @@ class TestRun:
         assert main(["run", "--instance", "det:0,1", "--T", "7,7.9"]) == EXIT_USAGE
         assert "--T" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+    def test_bad_epsilon_is_usage_error(self, eps, capsys):
+        argv = ["run", "--instance", "det:0,1", "--T", "7", "--trials", "5", "--eps", eps]
+        assert main(argv) == EXIT_USAGE
+        assert "--eps" in capsys.readouterr().err
+
     def test_bad_thread_count_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("DPEXPERTS_THREADS", "two")
         assert main(["run", "--instance", "det:0,1", "--T", "7", "--trials", "5"]) == EXIT_USAGE
@@ -76,6 +82,14 @@ class TestExact:
     ])
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
+
+    def test_non_finite_means_are_rejected(self, capsys):
+        assert main(["exact", "--means", "0,nan", "--R", "3"]) == EXIT_USAGE
+        assert "--means" in capsys.readouterr().err
+
+    def test_nan_epsilon_is_rejected(self, capsys):
+        assert main(["exact", "--means", "0,1", "--eps", "nan", "--R", "3"]) == EXIT_USAGE
+        assert "--eps" in capsys.readouterr().err
 
     def test_means_need_not_lie_in_unit_interval(self, capsys):
         # The exact calculator only uses gaps, so any real means are accepted.

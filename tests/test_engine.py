@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dpexperts.core import MechanismSpec, NoiseKind
+from dpexperts import engine
+from dpexperts.core import Bernoulli, FiniteSupport, MechanismSpec, NoiseKind, PointMass
 from dpexperts.engine import (
     InvalidHorizon,
     epoch_lengths,
@@ -17,6 +18,7 @@ from dpexperts.instances import (
     bernoulli_instance,
     deterministic_instance,
     paper_example_two_actions,
+    parse_instance_spec,
 )
 from dpexperts.noise import RngStream, derive_seed
 
@@ -103,6 +105,41 @@ class TestScoreSampling:
         # Sums of 32 draws from {0.4, 0.0} are multiples of 0.4.
         assert np.allclose(np.mod(scores[:, 1] / 0.4, 1.0), 0.0, atol=1e-9)
 
+    def test_point_masses_draw_nothing_and_share_one_row(self):
+        inst = parse_instance_spec("grid:K=64")
+        rng = RngStream(4)
+        before = rng.generator.bit_generator.state
+        scores = sample_scores(inst, 0, 1 << 29, 300, rng)
+        assert rng.generator.bit_generator.state == before
+        assert scores.shape == (300, 64) and not scores.flags.writeable
+        assert np.array_equal(scores, np.tile((1 << 29) * inst.means, (300, 1)))
+
+    @pytest.mark.parametrize("resample", [0, 1])
+    def test_mixed_columns_match_column_by_column_fill(self, resample):
+        inst = paper_example_two_actions()
+        rng_a, rng_b = RngStream(5), RngStream(5)
+        fast = sample_scores(inst, resample, 64, 1000, rng_a)
+        slow = _column_by_column_scores(inst, resample, 64, 1000, rng_b)
+        assert np.array_equal(fast, slow)
+        assert rng_a.generator.bit_generator.state == rng_b.generator.bit_generator.state
+
+
+def _column_by_column_scores(instance, resample, length, trials, rng):
+    """sample_scores with every column filled in its own step, point masses too."""
+    gen = rng.generator
+    scores = np.empty((trials, instance.k))
+    for j, model in enumerate(instance.models):
+        if resample or isinstance(model, Bernoulli):
+            scores[:, j] = gen.binomial(length, model.mean(), size=trials)
+        elif isinstance(model, PointMass):
+            scores[:, j] = length * model.value
+        elif isinstance(model, FiniteSupport):
+            values = np.array([v for v, _ in model.atoms])
+            probs = np.array([p for _, p in model.atoms])
+            counts = gen.multinomial(length, probs / probs.sum(), size=trials)
+            scores[:, j] = counts @ values
+    return scores
+
 
 class TestBatchAgreement:
     @pytest.mark.parametrize("resample,kind,eps", [
@@ -131,6 +168,17 @@ class TestBatchAgreement:
         a = run_batch(inst, spec, 63, 100, RngStream(8))
         b = run_batch(inst, spec, 63, 100, RngStream(8))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind,eps", [(NoiseKind.LAPLACE, 1.0), (NoiseKind.NONE, 0.0)])
+    def test_mixed_instance_run_batch_unchanged(self, monkeypatch, kind, eps):
+        # paper-example mixes a point mass with a two-atom loss, so at B = 0
+        # its epochs take the mixed path of sample_scores.
+        inst = paper_example_two_actions()
+        spec = MechanismSpec(0, kind, epsilon=eps)
+        fast = run_batch(inst, spec, 1023, 2000, RngStream(31))
+        monkeypatch.setattr(engine, "sample_scores", _column_by_column_scores)
+        slow = run_batch(inst, spec, 1023, 2000, RngStream(31))
+        assert np.array_equal(fast, slow)
 
     def test_run_batch_regret_nonnegative(self):
         inst = bernoulli_instance([0.1, 0.9])

@@ -15,7 +15,7 @@ from dpexperts.mechanism import (
     rnm_pmf_oracle,
     select_batch,
 )
-from dpexperts.noise import RngStream
+from dpexperts.noise import RngStream, noise_ppf
 
 
 class TestResampling:
@@ -34,6 +34,19 @@ class TestResampling:
             bernoulli_resample(np.array([0.5, 1.2]), RngStream(0))
         with pytest.raises(OutOfRange):
             bernoulli_resample(np.array([-0.01]), RngStream(0))
+
+
+class TestBroadcastSelection:
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_broadcast_row_selects_like_its_copy(self, kind):
+        row = np.array([3.0, 1.0, 1.0, 2.5, 1.0, 1.5, 4.0])
+        spec = MechanismSpec(0, kind, epsilon=1.0 if kind is not NoiseKind.NONE else 0.0)
+        view = np.broadcast_to(row, (2000, row.size))
+        picks = select_batch(view, spec, RngStream(6))
+        assert np.array_equal(picks, select_batch(np.tile(row, (2000, 1)), spec, RngStream(6)))
+        if kind is not NoiseKind.NONE:
+            u = RngStream(6).uniform(view.shape)
+            assert np.array_equal(picks, np.argmax(-view + noise_ppf(kind, u, spec.scale()), axis=1))
 
 
 class TestNoNoiseSelection:

@@ -112,9 +112,60 @@ class TestSampling:
         assert np.all(sample_noise(spec, RngStream(1), size=10) == 0.0)
 
     def test_scale_must_be_positive(self):
-        from dpexperts.noise import sample_gumbel, sample_laplace
+        # sample_noise takes its scale from a MechanismSpec, which refuses
+        # every epsilon that would give a scale that is not positive.
+        for kind in KINDS:
+            for eps in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError):
+                    MechanismSpec(0, kind, epsilon=eps)
+            spec = MechanismSpec(0, kind, epsilon=1e-3)
+            assert np.all(np.isfinite(sample_noise(spec, RngStream(0), size=10)))
 
-        with pytest.raises(ValueError):
-            sample_laplace(0.0, RngStream(0))
-        with pytest.raises(ValueError):
-            sample_gumbel(-1.0, RngStream(0))
+
+def _reference_ppf(kind, u, scale):
+    """The inverse CDFs as closed forms evaluated into fresh temporaries, with
+    both Laplace branches computed under np.where."""
+    if kind is NoiseKind.LAPLACE:
+        u = np.clip(np.asarray(u, float), 1e-300, 1.0 - 1e-16)
+        return np.where(u < 0.5, scale * np.log(2.0 * u), -scale * np.log(2.0 * (1.0 - u)))
+    if kind is NoiseKind.EXPONENTIAL:
+        u = np.clip(np.asarray(u, float), 0.0, 1.0 - 1e-16)
+        return -scale * np.log1p(-u)
+    u = np.clip(np.asarray(u, float), 1e-300, 1.0 - 1e-16)
+    return -scale * np.log(-np.log(u))
+
+
+PPF_EDGES = [0.0, 1e-320, 1e-300, 0.5, np.nextafter(0.5, 0.0), 1.0 - 1e-16, np.nextafter(1.0, 0.0)]
+
+
+class TestInPlaceInverseCdfs:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 3.7])
+    def test_bitwise_equal_to_reference(self, kind, scale):
+        u = np.concatenate([PPF_EDGES, np.random.default_rng(8).random(100_000)])
+        got = noise_ppf(kind, u, scale)
+        want = _reference_ppf(kind, u, scale)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_laplace_median_is_negative_zero(self):
+        assert np.signbit(laplace_ppf(0.5, 1.0))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shapes(self, kind):
+        for u in (0.3, np.float64(0.3), np.array(0.3)):
+            out = noise_ppf(kind, u, 1.0)
+            assert np.ndim(out) == 0 and not isinstance(out, np.ndarray)
+            assert out == _reference_ppf(kind, 0.3, 1.0)
+        u = np.random.default_rng(9).random((4, 7))
+        assert noise_ppf(kind, u, 1.0).shape == (4, 7)
+        assert noise_ppf(kind, [0.2, 0.9], 1.0).shape == (2,)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_input_is_not_mutated(self, kind):
+        u = np.concatenate([PPF_EDGES, np.random.default_rng(10).random(994)]).reshape(-1, 7)
+        before = u.copy()
+        noise_ppf(kind, u, 2.0)
+        assert np.array_equal(u, before)
+        # A read-only view is accepted too: nothing is written into it.
+        row = np.broadcast_to(before[0], (5, 7))
+        assert np.array_equal(noise_ppf(kind, row, 2.0), np.tile(noise_ppf(kind, before[0], 2.0), (5, 1)))
