@@ -12,7 +12,7 @@ import sys
 from typing import List, Optional
 
 from .analysis import exact_det_gumbel_regret_epochs
-from .core import MechanismSpec, NoiseKind
+from .core import MechanismSpec, NoiseKind, OutOfRange
 from .harness import default_workers, sweep, write_csv
 from .instances import InstanceSpecError, parse_instance_spec, uniform_grid_instance
 from .svg import line_chart
@@ -66,8 +66,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if noise is NoiseKind.NONE:
         specs = [MechanismSpec(resample=args.B, noise=noise)]
     else:
-        specs = [MechanismSpec(resample=args.B, noise=noise, epsilon=_positive(eps, "--eps"))
-                 for eps in _floats(args.eps, "--eps")]
+        try:
+            specs = [MechanismSpec(resample=args.B, noise=noise, epsilon=_positive(eps, "--eps"))
+                     for eps in _floats(args.eps, "--eps")]
+        except OutOfRange as exc:
+            raise _UsageError(f"--eps: {exc}") from exc
     horizons = _ints(args.T, "--T")
     if any(t < 1 for t in horizons):
         raise _UsageError("every horizon must be >= 1")

@@ -151,6 +151,9 @@ class MechanismSpec:
         object.__setattr__(self, "noise", noise)
         if noise is not NoiseKind.NONE and not self.epsilon > 0.0:
             raise OutOfRange(f"epsilon must be positive for {noise.value} noise")
+        if noise is not NoiseKind.NONE and not math.isfinite(self.scale()):
+            raise OutOfRange(f"epsilon {float(self.epsilon)!r} is too small: the noise scale "
+                             f"2/epsilon overflows")
 
     def scale(self) -> float:
         """Noise scale: 2/eps for Laplace, Exponential and Gumbel, 0 without noise.

@@ -18,6 +18,11 @@ ORACLE_MAX_ACTIONS = 8
 # tolerance instead of exact float equality.
 TIE_RTOL = 1e-9
 
+# select_batch draws noise for this many float64 values at a time (512 KB), so
+# a block's uniforms and noisy values stay in cache and no (trials, K)
+# temporary is held.
+SELECT_BLOCK_VALUES = 1 << 16
+
 
 def _tie_mask(scores: np.ndarray, mins) -> np.ndarray:
     return scores <= mins + TIE_RTOL * (1.0 + np.abs(mins))
@@ -54,40 +59,45 @@ def report_noisy_max(scores: np.ndarray, spec: MechanismSpec, rng: RngStream) ->
 def select_batch(scores: np.ndarray, spec: MechanismSpec, rng: RngStream) -> np.ndarray:
     """Vectorized report_noisy_max over rows of a (trials, K) score matrix.
 
-    The scores are only read, so a broadcast view of one row will do. With
-    noise, the noisy values are built in the inverse CDF's output array as
-    Q - G, which is bitwise -G + Q; besides the scores, the uniforms and that
-    array are the only (trials, K) floats held at once.
+    The scores are only read, so a broadcast view of one row will do, and such
+    a shared row (stride 0, as `sample_scores` returns for point masses) is
+    selected from in O(K + trials) without noise and under Gumbel noise: one
+    uniform per trial picks from the tie set, or from the inverse CDF of the
+    softmax that the Gumbel-max identity makes the selection pmf. Otherwise
+    the noisy values are built block by block of rows, as Q - G in the inverse
+    CDF's output array (bitwise -G + Q); PCG64 fills uniforms in C order, so
+    the picks do not depend on the block size.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     n, k = scores.shape
+    shared = n > 1 and scores.strides[0] == 0
     if spec.noise is NoiseKind.NONE:
+        if shared:
+            ties = np.flatnonzero(_tie_mask(scores[0], scores[0].min()))
+            return ties[np.minimum((rng.uniform(n) * len(ties)).astype(int), len(ties) - 1)]
         mins = scores.min(axis=1, keepdims=True)
         is_min = _tie_mask(scores, mins)
         counts = is_min.sum(axis=1)
         pick = np.minimum((rng.uniform(n) * counts).astype(int), counts - 1)
         cum = np.cumsum(is_min, axis=1)
         return np.argmax(cum == (pick + 1)[:, None], axis=1)
-    noisy = noise_ppf(spec.noise, rng.uniform((n, k)), spec.scale())
-    noisy -= scores
-    return np.argmax(noisy, axis=1)
-
-
-def gumbel_selection_pmf(scores: np.ndarray, epsilon: float) -> np.ndarray:
-    """Exact selection pmf under Gumbel(2/eps) noise: softmax of -G * eps / 2.
-
-    Matches the sampled noise scale, so the pmf and the sampler agree exactly.
-    """
-    if epsilon <= 0.0:
-        raise OutOfRange("epsilon must be positive")
-    z = -np.asarray(scores, dtype=float) * (epsilon / 2.0)
-    z = z - z.max()
-    p = np.exp(z)
-    return p / p.sum()
+    if shared and spec.noise is NoiseKind.GUMBEL:
+        # A zero-probability action adds nothing to cum, so no u lands on it.
+        cum = np.cumsum(np.exp(log_gumbel_selection_pmf(scores[0], spec.epsilon)))
+        return np.minimum(np.searchsorted(cum, rng.uniform(n) * cum[-1], side="right"), k - 1)
+    picks = np.empty(n, dtype=np.intp)
+    rows = max(1, SELECT_BLOCK_VALUES // k)
+    for lo in range(0, n, rows):
+        block = scores[lo:lo + rows]
+        noisy = noise_ppf(spec.noise, rng.uniform(block.shape), spec.scale())
+        noisy -= block
+        picks[lo:lo + rows] = np.argmax(noisy, axis=1)
+    return picks
 
 
 def log_gumbel_selection_pmf(scores: np.ndarray, epsilon: float) -> np.ndarray:
-    """Log of gumbel_selection_pmf, usable when probabilities underflow.
+    """Log of the exact selection pmf under Gumbel(2/eps) noise: the log-softmax
+    of -G * eps / 2, the scale the sampler uses, so pmf and sampler agree.
 
     Works along the last axis, so a (m, K) array gives m log-pmfs at once.
     """
@@ -172,7 +182,7 @@ def rnm_pmf_oracle(scores: np.ndarray, spec: MechanismSpec) -> np.ndarray:
 
     Laplace and Exponential noise use the piecewise closed form of
     `_closed_form_pmf`, independent of the samplers; Gumbel noise uses its
-    softmax closed form, `gumbel_selection_pmf`; no noise splits ties evenly.
+    softmax closed form, `log_gumbel_selection_pmf`; no noise splits ties evenly.
     """
     scores = np.asarray(scores, dtype=float)
     k = scores.size
@@ -182,6 +192,6 @@ def rnm_pmf_oracle(scores: np.ndarray, spec: MechanismSpec) -> np.ndarray:
         ties = _tie_mask(scores, scores.min())
         return ties / ties.sum()
     if spec.noise is NoiseKind.GUMBEL:
-        return gumbel_selection_pmf(scores, spec.epsilon)
+        return np.exp(log_gumbel_selection_pmf(scores, spec.epsilon))
 
     return _closed_form_pmf(scores / spec.scale(), spec.noise)

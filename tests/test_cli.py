@@ -57,6 +57,11 @@ class TestRun:
         assert main(argv) == EXIT_USAGE
         assert "--eps" in capsys.readouterr().err
 
+    def test_epsilon_whose_scale_overflows_is_usage_error(self, capsys):
+        argv = ["run", "--instance", "det:0,1", "--T", "7", "--trials", "5", "--eps", "1e-320"]
+        assert main(argv) == EXIT_USAGE
+        assert "--eps" in capsys.readouterr().err
+
     def test_bad_thread_count_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("DPEXPERTS_THREADS", "two")
         assert main(["run", "--instance", "det:0,1", "--T", "7", "--trials", "5"]) == EXIT_USAGE

@@ -149,6 +149,14 @@ class TestMechanismSpec:
         with pytest.raises(ValueError):
             MechanismSpec(0, "cauchy", 1.0)
 
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL,
+                                      NoiseKind.GUMBEL])
+    def test_epsilon_whose_scale_overflows_is_rejected(self, kind):
+        # 2/eps is inf below about 1.1e-308; the noise would then be +-inf or nan.
+        with pytest.raises(OutOfRange):
+            MechanismSpec(0, kind, 1e-320)
+        assert MechanismSpec(0, kind, 1e-300).scale() == pytest.approx(2e300)
+
     def test_string_noise_coerced_to_enum(self):
         spec = MechanismSpec(1, "laplace", 2.0)
         assert spec.noise is NoiseKind.LAPLACE

@@ -142,15 +142,19 @@ def _column_by_column_scores(instance, resample, length, trials, rng):
 
 
 class TestBatchAgreement:
-    @pytest.mark.parametrize("resample,kind,eps", [
-        (0, NoiseKind.GUMBEL, 1.0),
-        (1, NoiseKind.LAPLACE, 0.5),
-        (0, NoiseKind.NONE, 0.0),
+    @pytest.mark.parametrize("spec_text,resample,kind,eps", [
+        pytest.param("paper-example", 0, NoiseKind.GUMBEL, 1.0, id="0-gumbel-1.0"),
+        pytest.param("paper-example", 1, NoiseKind.LAPLACE, 0.5, id="1-laplace-0.5"),
+        pytest.param("paper-example", 0, NoiseKind.NONE, 0.0, id="0-none-0.0"),
+        # Every action a point mass: run_batch samples the shared score row
+        # from its softmax, the per-step engine adds real Gumbel noise.
+        pytest.param("worst-np:K=8,delta=0.25", 0, NoiseKind.GUMBEL, 2.0,
+                     id="worst-np-0-gumbel-2.0"),
     ])
-    def test_run_batch_matches_looped_engine(self, resample, kind, eps):
+    def test_run_batch_matches_looped_engine(self, spec_text, resample, kind, eps):
         """The batched sampler is a distributional shortcut; its mean pseudoregret
         must agree with looping the per-step engine within Monte Carlo error."""
-        inst = paper_example_two_actions()
+        inst = parse_instance_spec(spec_text)
         spec = (MechanismSpec(resample, kind, epsilon=eps) if kind is not NoiseKind.NONE
                 else MechanismSpec(resample, kind))
         horizon, trials = 31, 4000

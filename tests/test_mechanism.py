@@ -4,12 +4,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from dpexperts import mechanism
 from dpexperts.core import MechanismSpec, NoiseKind, OutOfRange
+from dpexperts.engine import sample_scores
+from dpexperts.instances import uniform_grid_instance
 from dpexperts.mechanism import (
     ORACLE_MAX_ACTIONS,
+    SELECT_BLOCK_VALUES,
     TooManyActions,
     bernoulli_resample,
-    gumbel_selection_pmf,
     log_gumbel_selection_pmf,
     report_noisy_max,
     rnm_pmf_oracle,
@@ -36,17 +39,80 @@ class TestResampling:
             bernoulli_resample(np.array([-0.01]), RngStream(0))
 
 
+def gumbel_pmf(scores, epsilon):
+    return np.exp(log_gumbel_selection_pmf(scores, epsilon))
+
+
 class TestBroadcastSelection:
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_broadcast_row_selects_like_its_copy(self, kind):
         row = np.array([3.0, 1.0, 1.0, 2.5, 1.0, 1.5, 4.0])
         spec = MechanismSpec(0, kind, epsilon=1.0 if kind is not NoiseKind.NONE else 0.0)
         view = np.broadcast_to(row, (2000, row.size))
-        picks = select_batch(view, spec, RngStream(6))
+        rng = RngStream(6)
+        picks = select_batch(view, spec, rng)
+        if kind is NoiseKind.GUMBEL:
+            # A shared row is sampled from its softmax: one uniform per trial
+            # through the inverse CDF of the selection pmf.
+            expected = RngStream(6)
+            u = expected.uniform(2000)
+            cum = np.cumsum(gumbel_pmf(row, 1.0))
+            assert np.array_equal(picks, np.searchsorted(cum, u * cum[-1], side="right"))
+            assert rng.generator.bit_generator.state == expected.generator.bit_generator.state
+            return
         assert np.array_equal(picks, select_batch(np.tile(row, (2000, 1)), spec, RngStream(6)))
         if kind is not NoiseKind.NONE:
             u = RngStream(6).uniform(view.shape)
             assert np.array_equal(picks, np.argmax(-view + noise_ppf(kind, u, spec.scale()), axis=1))
+
+    def test_softmax_picks_match_gumbel_noise(self):
+        # The Gumbel-max identity: the shared-row softmax sampler and the
+        # noise path on a materialised copy pick each action equally often.
+        row = 8.0 * uniform_grid_instance(64).means
+        spec = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=1.0)
+        n = 200_000
+        view = np.broadcast_to(row, (n, row.size))
+        softmax = np.bincount(select_batch(view, spec, RngStream(41)), minlength=64) / n
+        noise = np.bincount(select_batch(np.tile(row, (n, 1)), spec, RngStream(42)),
+                            minlength=64) / n
+        p = gumbel_pmf(row, 1.0)
+        sigma = np.sqrt(2.0 * p * (1.0 - p) / n)
+        assert np.all(np.abs(softmax - noise) <= 4.0 * sigma)
+
+    def test_late_epoch_picks_the_best_action(self):
+        # At epoch 30 of grid:K=4096 every other action's softmax weight
+        # underflows to 0, and a zero-probability action is never picked.
+        inst = uniform_grid_instance(4096)
+        spec = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=1.0)
+        scores = sample_scores(inst, 0, 1 << 29, 400, RngStream(7))
+        assert np.all(select_batch(scores, spec, RngStream(8)) == 0)
+        middle = np.broadcast_to([1e6, 0.0, 1e6], (400, 3))
+        assert np.all(select_batch(middle, spec, RngStream(9)) == 1)
+
+
+def _one_block_picks(scores, spec, rng):
+    """select_batch's noise path with the whole matrix as one block."""
+    noisy = noise_ppf(spec.noise, rng.uniform(scores.shape), spec.scale())
+    noisy -= scores
+    return np.argmax(noisy, axis=1)
+
+
+class TestBlockedSelection:
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL,
+                                      NoiseKind.GUMBEL])
+    @pytest.mark.parametrize("n, k, block", [
+        (1000, 200, SELECT_BLOCK_VALUES),  # 327 rows a block: 1000 is not a multiple
+        (3, SELECT_BLOCK_VALUES + 5, SELECT_BLOCK_VALUES),  # each row wider than a block
+        (101, 5, 12),  # many small blocks, the last one short
+    ])
+    def test_blocks_match_one_block(self, monkeypatch, kind, n, k, block):
+        monkeypatch.setattr(mechanism, "SELECT_BLOCK_VALUES", block)
+        scores = np.random.default_rng(n).uniform(0.0, 3.0, size=(n, k))
+        spec = MechanismSpec(0, kind, epsilon=1.0)
+        rng, expected = RngStream(5), RngStream(5)
+        assert np.array_equal(select_batch(scores, spec, rng),
+                              _one_block_picks(scores, spec, expected))
+        assert rng.generator.bit_generator.state == expected.generator.bit_generator.state
 
 
 class TestNoNoiseSelection:
@@ -78,31 +144,32 @@ class TestNoNoiseSelection:
 class TestGumbelPmf:
     def test_two_action_closed_form(self):
         # Scores (0, 1) at eps = 2 give softmax exponents (0, -1).
-        p = gumbel_selection_pmf(np.array([0.0, 1.0]), 2.0)
+        p = gumbel_pmf(np.array([0.0, 1.0]), 2.0)
         assert p[0] == pytest.approx(math.e / (math.e + 1.0))
         assert p[1] == pytest.approx(1.0 / (math.e + 1.0))
 
     def test_log_pmf_consistent(self):
         g = np.array([0.3, 2.0, 1.1, 0.0])
-        p = gumbel_selection_pmf(g, 0.7)
-        assert np.allclose(np.exp(log_gumbel_selection_pmf(g, 0.7)), p)
+        weights = np.exp(-g * 0.35)
+        p = gumbel_pmf(g, 0.7)
+        assert np.allclose(p, weights / weights.sum())
         assert p.sum() == pytest.approx(1.0)
 
     def test_shift_invariance(self):
         g = np.array([1.0, 4.0, 2.5])
-        assert np.allclose(gumbel_selection_pmf(g, 1.3),
-                           gumbel_selection_pmf(g + 100.0, 1.3))
+        assert np.allclose(log_gumbel_selection_pmf(g, 1.3),
+                           log_gumbel_selection_pmf(g + 100.0, 1.3))
 
     def test_requires_positive_epsilon(self):
         with pytest.raises(OutOfRange):
-            gumbel_selection_pmf(np.array([0.0, 1.0]), 0.0)
+            log_gumbel_selection_pmf(np.array([0.0, 1.0]), 0.0)
 
     def test_sampler_matches_pmf(self):
         g = np.array([0.0, 1.0, 3.0])
         spec = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=1.0)
         picks = select_batch(np.tile(g, (200_000, 1)), spec, RngStream(11))
         freq = np.bincount(picks, minlength=3) / len(picks)
-        assert np.allclose(freq, gumbel_selection_pmf(g, 1.0), atol=0.005)
+        assert np.allclose(freq, gumbel_pmf(g, 1.0), atol=0.005)
 
 
 def _mp_unit_noise(kind: NoiseKind):
@@ -173,7 +240,7 @@ class TestQuadratureOracle:
     def test_gumbel_softmax_agrees_with_mpmath(self):
         g = np.array([0.2, 1.7, 0.9, 2.4])
         expected = mpmath_pmf(g, NoiseKind.GUMBEL, 2.0 / 1.5)
-        assert np.abs(gumbel_selection_pmf(g, 1.5) - expected).max() <= 1e-12
+        assert np.abs(gumbel_pmf(g, 1.5) - expected).max() <= 1e-12
 
     # One score vector per family and K; beta cycles so each family meets every
     # scale. The full K x beta product costs about 5 s of mpmath per family.
