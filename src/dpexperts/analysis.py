@@ -10,12 +10,16 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import NoiseKind, OutOfRange
-from .mechanism import log_gumbel_selection_pmf
+from .core import MechanismSpec, NoiseKind, OutOfRange
+from .mechanism import log_gumbel_selection_pmf, selection_pmf
 
 # Testable constant for the partial-sum bound: sum_{r>=1} f(r) <= (1 + ln 2) *
 # integral_0^inf f, and the integral telescopes to at most (ln K) / ln 2.
 PARTIAL_SUM_CONSTANT = (1.0 + math.log(2.0)) / math.log(2.0)
+
+# The exact calculators' largest epoch count: epoch R has length 2^{R-1}, a
+# finite float only up to R = 1024.
+MAX_EPOCHS = 1024
 
 
 class AdjacencyViolation(ValueError):
@@ -85,29 +89,29 @@ def partial_sum_f(spec: SoftmaxSpec, big_r: int) -> float:
     return math.fsum(softmax_f(spec, r) for r in range(1, big_r + 1))
 
 
-def exact_det_gumbel_regret_epochs(means, epsilon: float, big_r: int) -> List[float]:
-    """Per-epoch expected pseudoregret of the no-resampling Gumbel variant on a
-    deterministic instance, horizon T = 2^R - 1.
+def exact_det_regret_epochs(means, spec: MechanismSpec, big_r: int) -> List[float]:
+    """Per-epoch expected pseudoregret of the no-resampling variant on a
+    deterministic instance, horizon T = 2^R - 1, under any noise kind.
 
     Epoch 1 is the uniform initial action; the selection entering epoch r >= 2
-    has the exact softmax pmf of the scores 2^{r-2} * mu accumulated over epoch
-    r - 1. No sampling anywhere.
+    has the exact pmf `selection_pmf` of the scores 2^{r-2} * mu accumulated
+    over epoch r - 1. No sampling anywhere. R is at most MAX_EPOCHS, beyond
+    which the epoch length 2^{R-1} overflows a float.
     """
-    if big_r < 1:
-        raise OutOfRange("R must be >= 1")
-    if epsilon <= 0.0:
-        raise OutOfRange("epsilon must be positive")
+    if not 1 <= big_r <= MAX_EPOCHS:
+        raise OutOfRange(f"R must be between 1 and {MAX_EPOCHS}, got {big_r}")
     mu = np.asarray(means, dtype=float)
     gaps = mu - mu.min()
     contributions = [float(gaps.sum() / gaps.size)]
     for r in range(2, big_r + 1):
-        logp = log_gumbel_selection_pmf((2.0 ** (r - 2)) * gaps, epsilon)
-        contributions.append(float((2.0 ** (r - 1)) * (gaps * np.exp(logp)).sum()))
+        p = selection_pmf((2.0 ** (r - 2)) * gaps, spec)
+        contributions.append(float((2.0 ** (r - 1)) * (gaps * p).sum()))
     return contributions
 
 
 def exact_det_gumbel_regret(means, epsilon: float, big_r: int) -> float:
-    return math.fsum(exact_det_gumbel_regret_epochs(means, epsilon, big_r))
+    spec = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=epsilon)
+    return math.fsum(exact_det_regret_epochs(means, spec, big_r))
 
 
 def binomial_cdf(k: int, n: int, p: float) -> float:

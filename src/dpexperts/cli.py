@@ -11,7 +11,7 @@ import math
 import sys
 from typing import List, Optional
 
-from .analysis import exact_det_gumbel_regret_epochs
+from .analysis import MAX_EPOCHS, exact_det_regret_epochs
 from .core import MechanismSpec, NoiseKind, OutOfRange
 from .harness import default_workers, sweep, write_csv
 from .instances import InstanceSpecError, parse_instance_spec, uniform_grid_instance
@@ -96,16 +96,27 @@ def cmd_exact(args: argparse.Namespace) -> int:
         means = list(uniform_grid_instance(args.K).means)
     else:
         raise _UsageError("provide --means or --K")
-    _positive(args.eps, "--eps")
-    if args.R < 1:
-        raise _UsageError("--R must be >= 1")
-    contributions = exact_det_gumbel_regret_epochs(means, args.eps, args.R)
+    noise = NoiseKind(args.noise)
+    if noise is NoiseKind.NONE:
+        spec = MechanismSpec(0, noise)
+        setting = f"R={args.R}"
+    else:
+        try:
+            spec = MechanismSpec(0, noise, epsilon=_positive(args.eps, "--eps"))
+        except OutOfRange as exc:
+            raise _UsageError(f"--eps: {exc}") from exc
+        setting = f"R={args.R}, eps={args.eps:g}"
+    if noise is not NoiseKind.GUMBEL:
+        setting += f", noise={noise.value}"
+    if not 1 <= args.R <= MAX_EPOCHS:
+        raise _UsageError(f"--R must be between 1 and {MAX_EPOCHS}, got {args.R}")
+    contributions = exact_det_regret_epochs(means, spec, args.R)
     total = 0.0
     print(f"{'epoch':>6} {'contribution':>16} {'cumulative':>16}")
     for r, c in enumerate(contributions, start=1):
         total += c
         print(f"{r:>6} {c:>16.10f} {total:>16.10f}")
-    print(f"exact pseudoregret (R={args.R}, eps={args.eps:g}): {total:.10f}")
+    print(f"exact pseudoregret ({setting}): {total:.10f}")
     print(f"final epoch contribution: {contributions[-1]:.3e}")
     return EXIT_OK
 
@@ -173,9 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_run.set_defaults(func=cmd_run)
 
-    p_exact = sub.add_parser("exact", help="exact deterministic-Gumbel regret table")
+    p_exact = sub.add_parser("exact", help="exact deterministic-instance regret table")
     p_exact.add_argument("--means", default=None, help='comma list, e.g. "0,1"')
     p_exact.add_argument("--K", type=int, default=None, help="uniform-grid instance size")
+    p_exact.add_argument("--noise", default="gumbel",
+                         choices=[k.value for k in NoiseKind])
     p_exact.add_argument("--eps", type=float, default=1.0)
     p_exact.add_argument("--R", type=int, default=40, help="number of doubling epochs")
     p_exact.set_defaults(func=cmd_exact)

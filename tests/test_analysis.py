@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpexperts.analysis import (
+    MAX_EPOCHS,
     PARTIAL_SUM_CONSTANT,
     AdjacencyViolation,
     SoftmaxSpec,
@@ -13,13 +14,16 @@ from dpexperts.analysis import (
     binomial_cdf_exact,
     check_derivative_bound,
     exact_det_gumbel_regret,
-    exact_det_gumbel_regret_epochs,
+    exact_det_regret_epochs,
     gumbel_privacy_ratio,
     partial_sum_f,
     softmax_f,
     tail_bound,
 )
-from dpexperts.core import NoiseKind, OutOfRange
+from dpexperts.core import MechanismSpec, NoiseKind, OutOfRange
+
+
+GUMBEL_1 = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=1.0)
 
 
 class TestExactCalculator:
@@ -31,13 +35,33 @@ class TestExactCalculator:
 
     def test_epoch_contributions_sum_to_total(self):
         means = [0.0, 0.3, 0.9]
-        contr = exact_det_gumbel_regret_epochs(means, 1.0, 12)
+        contr = exact_det_regret_epochs(means, GUMBEL_1, 12)
         assert len(contr) == 12
         assert math.fsum(contr) == pytest.approx(exact_det_gumbel_regret(means, 1.0, 12))
 
     def test_contributions_vanish_for_large_epochs(self):
-        contr = exact_det_gumbel_regret_epochs([0.0, 0.5], 1.0, 40)
+        contr = exact_det_regret_epochs([0.0, 0.5], GUMBEL_1, 40)
         assert contr[-1] < 1e-12
+
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL])
+    @pytest.mark.parametrize("eps", [0.3, 1.0, 4.0])
+    def test_two_action_tails(self, kind, eps):
+        # det:0,1: the action behind by a = 2^(r-2) eps / 2 noise scales is
+        # selected with probability 1/2 e^-a (1 + a/2) under Laplace noise and
+        # 1/2 e^-a under Exponential noise, and costs 1 per step of epoch r.
+        contr = exact_det_regret_epochs([0.0, 1.0], MechanismSpec(0, kind, epsilon=eps), 40)
+        assert contr[0] == 0.5
+        for r, c in enumerate(contr[1:], start=2):
+            a = 2.0 ** (r - 2) * eps / 2.0
+            tail = 0.5 * math.exp(-a) * ((1.0 + a / 2.0) if kind is NoiseKind.LAPLACE else 1.0)
+            assert abs(c - 2.0 ** (r - 1) * tail) <= 1e-12
+
+    def test_epoch_count_is_capped(self):
+        # Epoch 1025 would last 2^1024 steps, which overflows a float.
+        assert MAX_EPOCHS == 1024
+        assert exact_det_gumbel_regret([0.0, 1.0], 1.0, MAX_EPOCHS) > 0.0
+        with pytest.raises(OutOfRange):
+            exact_det_regret_epochs([0.0, 1.0], GUMBEL_1, MAX_EPOCHS + 1)
 
     def test_all_tied_means_give_zero_regret(self):
         assert exact_det_gumbel_regret([0.4, 0.4, 0.4], 1.0, 10) == 0.0

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import pytest
 
@@ -74,6 +75,18 @@ class TestExact:
         out = capsys.readouterr().out
         assert "1.0378828" in out
         assert "epoch" in out and "cumulative" in out
+
+    def test_noise_option(self, capsys):
+        assert main(["exact", "--means", "0,1", "--eps", "2", "--R", "2",
+                     "--noise", "exponential"]) == EXIT_OK
+        out = capsys.readouterr().out
+        # Epoch 2 selects the worse action with probability e^-1 / 2.
+        assert f"{0.5 + math.exp(-1.0):.10f}" in out
+        assert "noise=exponential" in out
+
+    def test_epoch_count_over_cap_is_usage_error(self, capsys):
+        assert main(["exact", "--means", "0,1", "--R", "1025"]) == EXIT_USAGE
+        assert "--R" in capsys.readouterr().err
 
     def test_grid_shortcut(self, capsys):
         assert main(["exact", "--K", "8", "--R", "5"]) == EXIT_OK

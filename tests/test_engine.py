@@ -147,9 +147,13 @@ class TestBatchAgreement:
         pytest.param("paper-example", 1, NoiseKind.LAPLACE, 0.5, id="1-laplace-0.5"),
         pytest.param("paper-example", 0, NoiseKind.NONE, 0.0, id="0-none-0.0"),
         # Every action a point mass: run_batch samples the shared score row
-        # from its softmax, the per-step engine adds real Gumbel noise.
+        # from its exact pmf, the per-step engine adds real noise.
         pytest.param("worst-np:K=8,delta=0.25", 0, NoiseKind.GUMBEL, 2.0,
                      id="worst-np-0-gumbel-2.0"),
+        # The same for the Laplace and Exponential selection_pmf kernel.
+        pytest.param("lower-bound:K=16,delta=0.1,l=3", 0, NoiseKind.LAPLACE, 0.5,
+                     id="lower-bound-0-laplace-0.5"),
+        pytest.param("grid:K=8", 0, NoiseKind.EXPONENTIAL, 1.0, id="grid-0-exponential-1.0"),
     ])
     def test_run_batch_matches_looped_engine(self, spec_text, resample, kind, eps):
         """The batched sampler is a distributional shortcut; its mean pseudoregret

@@ -17,6 +17,7 @@ from dpexperts.mechanism import (
     report_noisy_max,
     rnm_pmf_oracle,
     select_batch,
+    selection_pmf,
 )
 from dpexperts.noise import RngStream, noise_ppf
 
@@ -51,41 +52,44 @@ class TestBroadcastSelection:
         view = np.broadcast_to(row, (2000, row.size))
         rng = RngStream(6)
         picks = select_batch(view, spec, rng)
-        if kind is NoiseKind.GUMBEL:
-            # A shared row is sampled from its softmax: one uniform per trial
-            # through the inverse CDF of the selection pmf.
-            expected = RngStream(6)
-            u = expected.uniform(2000)
-            cum = np.cumsum(gumbel_pmf(row, 1.0))
-            assert np.array_equal(picks, np.searchsorted(cum, u * cum[-1], side="right"))
-            assert rng.generator.bit_generator.state == expected.generator.bit_generator.state
+        if kind is NoiseKind.NONE:
+            assert np.array_equal(picks, select_batch(np.tile(row, (2000, 1)), spec, RngStream(6)))
             return
-        assert np.array_equal(picks, select_batch(np.tile(row, (2000, 1)), spec, RngStream(6)))
-        if kind is not NoiseKind.NONE:
-            u = RngStream(6).uniform(view.shape)
-            assert np.array_equal(picks, np.argmax(-view + noise_ppf(kind, u, spec.scale()), axis=1))
+        # A noisy shared row is sampled from its exact selection pmf (the
+        # softmax for Gumbel noise): one uniform per trial through its inverse CDF.
+        expected = RngStream(6)
+        u = expected.uniform(2000)
+        cum = np.cumsum(selection_pmf(row, spec))
+        assert np.array_equal(picks, np.searchsorted(cum, u * cum[-1], side="right"))
+        assert rng.generator.bit_generator.state == expected.generator.bit_generator.state
 
-    def test_softmax_picks_match_gumbel_noise(self):
-        # The Gumbel-max identity: the shared-row softmax sampler and the
-        # noise path on a materialised copy pick each action equally often.
+    @pytest.mark.parametrize("kind", [NoiseKind.GUMBEL, NoiseKind.LAPLACE,
+                                      NoiseKind.EXPONENTIAL])
+    def test_pmf_picks_match_noise(self, kind):
+        # A shared row is sampled from its exact pmf (the Gumbel-max identity
+        # makes it the softmax), a materialised copy through the noise: both
+        # pick each action equally often.
         row = 8.0 * uniform_grid_instance(64).means
-        spec = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=1.0)
+        spec = MechanismSpec(0, kind, epsilon=1.0)
         n = 200_000
         view = np.broadcast_to(row, (n, row.size))
-        softmax = np.bincount(select_batch(view, spec, RngStream(41)), minlength=64) / n
+        from_pmf = np.bincount(select_batch(view, spec, RngStream(41)), minlength=64) / n
         noise = np.bincount(select_batch(np.tile(row, (n, 1)), spec, RngStream(42)),
                             minlength=64) / n
-        p = gumbel_pmf(row, 1.0)
+        p = selection_pmf(row, spec)
         sigma = np.sqrt(2.0 * p * (1.0 - p) / n)
-        assert np.all(np.abs(softmax - noise) <= 4.0 * sigma)
+        assert np.all(np.abs(from_pmf - noise) <= 4.0 * sigma)
 
     def test_late_epoch_picks_the_best_action(self):
         # At epoch 30 of grid:K=4096 every other action's softmax weight
-        # underflows to 0, and a zero-probability action is never picked.
+        # underflows to 0, and every other action is more than PRUNE_SCALES
+        # Laplace scales behind; a zero-probability action is never picked.
         inst = uniform_grid_instance(4096)
-        spec = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=1.0)
         scores = sample_scores(inst, 0, 1 << 29, 400, RngStream(7))
-        assert np.all(select_batch(scores, spec, RngStream(8)) == 0)
+        for kind in (NoiseKind.GUMBEL, NoiseKind.LAPLACE):
+            spec = MechanismSpec(0, kind, epsilon=1.0)
+            assert np.all(select_batch(scores, spec, RngStream(8)) == 0)
+        spec = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=1.0)
         middle = np.broadcast_to([1e6, 0.0, 1e6], (400, 3))
         assert np.all(select_batch(middle, spec, RngStream(9)) == 1)
 
@@ -250,8 +254,10 @@ class TestQuadratureOracle:
     def test_oracle_agrees_with_mpmath(self, kind, k):
         beta = BETAS[k % len(BETAS)]
         g = np.round(np.random.default_rng(k).uniform(0.0, 5.0, size=k), 2)
-        pmf = rnm_pmf_oracle(g, MechanismSpec(0, kind, epsilon=2.0 / beta))
-        assert np.abs(pmf - mpmath_pmf(g, kind, beta)).max() <= 1e-12
+        spec = MechanismSpec(0, kind, epsilon=2.0 / beta)
+        expected = mpmath_pmf(g, kind, beta)
+        assert np.abs(rnm_pmf_oracle(g, spec) - expected).max() <= 1e-12
+        assert np.abs(selection_pmf(g, spec) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("scores, kind, eps", [
         # The Laplace privacy suite's worst score vector at eps = 2.
@@ -260,8 +266,10 @@ class TestQuadratureOracle:
         ([1.0, 1.0, 2.0, 1.0], NoiseKind.EXPONENTIAL, 1.0),
     ])
     def test_witness_agrees_with_mpmath(self, scores, kind, eps):
-        pmf = rnm_pmf_oracle(np.array(scores), MechanismSpec(0, kind, epsilon=eps))
-        assert np.abs(pmf - mpmath_pmf(scores, kind, 2.0 / eps)).max() <= 1e-12
+        spec = MechanismSpec(0, kind, epsilon=eps)
+        expected = mpmath_pmf(scores, kind, 2.0 / eps)
+        assert np.abs(rnm_pmf_oracle(np.array(scores), spec) - expected).max() <= 1e-12
+        assert np.abs(selection_pmf(np.array(scores), spec) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL])
     def test_wide_gaps_keep_relative_accuracy(self, kind):
@@ -272,6 +280,9 @@ class TestQuadratureOracle:
         expected = mpmath_pmf(g, kind, 0.25, step=1)
         assert 1e-180 < pmf[2] < pmf[1] < 1e-80
         assert np.abs(pmf / expected - 1.0).max() <= 1e-9
+        # selection_pmf prunes both: they are more than PRUNE_SCALES scales behind.
+        assert selection_pmf(np.array(g), MechanismSpec(0, kind, epsilon=8.0)).tolist() == [
+            1.0, 0.0, 0.0]
 
     def test_oracle_agrees_with_sampler(self):
         g = np.array([0.0, 0.5, 2.0])
@@ -290,3 +301,89 @@ class TestQuadratureOracle:
         spec = MechanismSpec(0, NoiseKind.LAPLACE, epsilon=1.0)
         with pytest.raises(TooManyActions):
             rnm_pmf_oracle(np.zeros(ORACLE_MAX_ACTIONS + 1), spec)
+
+
+def unit_log_cdf_pdf(z, kind: NoiseKind):
+    """(log F, log f) of unit-scale Laplace noise, or of Exponential noise at z > 0."""
+    if kind is NoiseKind.LAPLACE:
+        log_cdf = np.where(z < 0.0, z - math.log(2.0), np.log1p(-0.5 * np.exp(-np.abs(z))))
+        return log_cdf, -np.abs(z) - math.log(2.0)
+    return np.log(-np.expm1(-z)), -z
+
+
+def midpoint_pmf(g, kind: NoiseKind, lo: float, h: float, top: float = 30.0):
+    """Reference selection pmf for unit-scale noise and gaps g >= 0:
+    p_j = int f(y + g_j) prod_{i != j} F(y + g_i) dy over [lo, top] by the
+    midpoint rule at steps h and h/2, Richardson-extrapolated.
+
+    The extrapolation cancels the h^2 error term only where the integrand is
+    smooth in each cell, so every Laplace kink y = -g_i above lo must lie on a
+    cell edge. Above top every p_j loses less than e^-30. Actions more than 60
+    scales behind are dropped: their F differs from 1 by under e^-50 on the
+    range, and their p_j is below it.
+    """
+    g = np.asarray(g, dtype=float)
+    keep = g <= 60.0
+
+    def rule(step):
+        p = np.zeros(int(keep.sum()))
+        y = lo + step * (np.arange(int(round((top - lo) / step))) + 0.5)
+        for chunk in np.array_split(y, max(1, y.size // 256)):
+            log_cdf, log_pdf = unit_log_cdf_pdf(chunk[:, None] + g[keep], kind)
+            log_w = log_cdf.sum(axis=1, keepdims=True)
+            p += step * np.exp(log_w - log_cdf + log_pdf).sum(axis=0)
+        return p
+
+    pmf = np.zeros(g.size)
+    pmf[keep] = (4.0 * rule(h / 2.0) - rule(h)) / 3.0
+    return pmf
+
+
+class TestSelectionPmf:
+    """The Laplace and Exponential kernel beyond the oracle's K <= 8, which
+    test_oracle_agrees_with_mpmath and the witness tests cover."""
+
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL])
+    def test_relative_accuracy_across_wide_gaps(self, kind):
+        # Gaps of 20 and 40 noise scales: entries near 1e-8 and 1e-17, both
+        # kept (under PRUNE_SCALES).
+        g = [0.0, 50.0, 100.0]
+        pmf = selection_pmf(np.array(g), MechanismSpec(0, kind, epsilon=0.8))
+        expected = mpmath_pmf(g, kind, 2.5, step=1)
+        assert 1e-20 < pmf[2] < pmf[1] < 1e-7
+        assert np.abs(pmf / expected - 1.0).max() <= 1e-9
+
+    # Rows of grid:K=4096 after epochs of length 1, 256 and 4096 at eps = 1
+    # (scale 2): lo is a multiple of the kink spacing length / 8190, and h
+    # divides it, so the reference's Laplace kinks sit on cell edges.
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL])
+    @pytest.mark.parametrize("length, kinks_below, cells", [(1, 0, 0), (256, 64, 1),
+                                                            (4096, 20, 20)])
+    def test_grid_rows_match_midpoint_reference(self, kind, length, kinks_below, cells):
+        spacing = length / 8190.0
+        g = spacing * np.arange(4096)
+        if kind is NoiseKind.EXPONENTIAL or kinks_below == 0:
+            lo, h = 0.0, 0.025  # no kink above 0; W = 0 below 0 for Exponential
+        else:
+            lo, h = -kinks_below * spacing, spacing / cells
+        if kind is NoiseKind.LAPLACE:
+            # Below lo <= 0 every integrand is at most W(y) <= W(lo) e^(y - lo).
+            assert unit_log_cdf_pdf(lo + g, kind)[0].sum() < -50.0
+        pmf = selection_pmf(length * uniform_grid_instance(4096).means,
+                            MechanismSpec(0, kind, epsilon=1.0))
+        assert np.abs(pmf - midpoint_pmf(g, kind, lo, h)).max() <= 1e-8
+
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL])
+    def test_pmf_is_a_distribution(self, kind):
+        # 300 scores with a tied minimum, a tied pair and one action 100
+        # scales behind the best, so pruned.
+        scores = np.random.default_rng(3).uniform(0.0, 30.0, 300)
+        scores[[17, 230]] = scores.min() - 1.0
+        scores[[5, 299]] = scores[5]
+        scores[100] = scores.min() + 200.0
+        pmf = selection_pmf(scores, MechanismSpec(0, kind, epsilon=1.0))
+        assert abs(pmf.sum() - 1.0) <= 1e-11
+        assert pmf[17] == pytest.approx(pmf[230], rel=1e-14)
+        assert pmf[5] == pytest.approx(pmf[299], rel=1e-14)
+        assert pmf[100] == 0.0
+        assert pmf.min() >= 0.0
