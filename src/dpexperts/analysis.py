@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -135,18 +135,25 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
     return float(min(1.0, math.exp(top + math.log(np.exp(terms - top).sum()))))
 
 
-def binomial_cdf_exact(k: int, n: int, p: Fraction) -> Fraction:
-    """Exact rational binomial CDF, the oracle for the monotonicity grid check."""
+def exact_binomial_cdfs(n: int, p: Fraction) -> List[Fraction]:
+    """[P[X <= k] for k = 0..n], X ~ Binomial(n, p), in exact rational
+    arithmetic: O(n) pmf terms by the ratio of consecutive ones, then prefix sums."""
     p = Fraction(p)
     q = 1 - p
-    total = Fraction(0)
-    for i in range(k + 1):
-        total += math.comb(n, i) * p ** i * q ** (n - i)
-    return total
+    if q == 0:
+        pmf = [Fraction(0)] * n + [Fraction(1)]
+    else:
+        pmf = [q ** n]
+        for i in range(1, n + 1):
+            pmf.append(pmf[-1] * (n - i + 1) * p / (i * q))
+    cdfs, acc = [], Fraction(0)
+    for term in pmf:
+        acc += term
+        cdfs.append(acc)
+    return cdfs
 
 
-def tail_bound(kind: NoiseKind, r: int, delta: float, epsilon: float,
-               c1: float = 2.0, c2: float = 8.0) -> float:
+def tail_bound(kind: NoiseKind, r: int, delta: float, epsilon: float) -> float:
     """Analytic upper bound on the chance that the end-of-epoch-r selection is a
     fixed action with gap `delta`, under resampling.
 
@@ -155,8 +162,8 @@ def tail_bound(kind: NoiseKind, r: int, delta: float, epsilon: float,
     exp(-(2^{r-1} d / 2) / (2/eps)).
     Gumbel: exp(-2^{r-1} d eps / 4) + exp(-2^{r-1} d^2 / 4); the eps/4 exponent
     carries the factor 1/2 from this artifact's softmax-exponent convention.
-    Laplace: generic c1 * exp(-2^{r+1} d min(d, eps) / c2) with configurable
-    constants.
+    Laplace: generic 2 exp(-2^{r+1} d min(d, eps) / 8), with the constants 2
+    and 8 fixed.
     """
     if not (0.0 < delta <= 1.0):
         raise OutOfRange("delta must lie in (0, 1]")
@@ -168,7 +175,7 @@ def tail_bound(kind: NoiseKind, r: int, delta: float, epsilon: float,
     if kind is NoiseKind.GUMBEL:
         return math.exp(-n * delta * epsilon / 4.0) + math.exp(-n * delta * delta / 4.0)
     if kind is NoiseKind.LAPLACE:
-        return c1 * math.exp(-(2.0 ** (r + 1)) * delta * min(delta, epsilon) / c2)
+        return 2.0 * math.exp(-(2.0 ** (r + 1)) * delta * min(delta, epsilon) / 8.0)
     raise OutOfRange(f"no tail bound for noise kind {kind!r}")
 
 

@@ -1,11 +1,10 @@
 """Shared domain types: loss models, problem instances, mechanism configs, run records."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -93,9 +92,6 @@ class FiniteSupport:
         cum = np.cumsum([p for _, p in self.atoms])
         idx = np.minimum(np.searchsorted(cum, u, side="right"), len(values) - 1)
         return values[idx]
-
-
-LossModel = Union[PointMass, Bernoulli, FiniteSupport]
 
 
 @dataclass(frozen=True)
@@ -198,33 +194,3 @@ class RegretEstimate:
             raise OutOfRange("trials must be >= 1")
         if self.stderr < 0.0:
             raise OutOfRange("stderr must be >= 0")
-
-
-def model_to_dict(model: LossModel) -> dict:
-    if isinstance(model, PointMass):
-        return {"kind": "point", "value": model.value}
-    if isinstance(model, Bernoulli):
-        return {"kind": "bernoulli", "mean": model.p}
-    if isinstance(model, FiniteSupport):
-        return {"kind": "finite", "atoms": [[v, p] for v, p in model.atoms]}
-    raise TypeError(f"unknown loss model {model!r}")
-
-
-def model_from_dict(doc: dict) -> LossModel:
-    kind = doc.get("kind")
-    if kind == "point":
-        return PointMass(float(doc["value"]))
-    if kind == "bernoulli":
-        return Bernoulli(float(doc["mean"]))
-    if kind == "finite":
-        return FiniteSupport(tuple((float(v), float(p)) for v, p in doc["atoms"]))
-    raise InvalidSupport(f"unknown loss model kind {kind!r}")
-
-
-def instance_to_json(instance: Instance) -> str:
-    return json.dumps({"models": [model_to_dict(m) for m in instance.models]})
-
-
-def instance_from_json(text: str) -> Instance:
-    doc = json.loads(text)
-    return make_instance([model_from_dict(d) for d in doc["models"]])

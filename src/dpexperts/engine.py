@@ -1,7 +1,6 @@
 """Full trajectory of the epoch-doubling noisy-max follow-the-leader algorithm."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -14,22 +13,12 @@ from .core import (
     PointMass,
     RunRecord,
 )
-from .mechanism import bernoulli_resample, report_noisy_max, select_batch
+from .mechanism import bernoulli_resample, select_batch
 from .noise import RngStream
 
 
 class InvalidHorizon(ValueError):
     """Horizon must be a positive integer."""
-
-
-@dataclass(frozen=True)
-class EpochTrace:
-    """One epoch: 1-based index, action played throughout, length, end-of-epoch scores."""
-
-    r: int
-    action: int
-    length: int
-    final_scores: np.ndarray
 
 
 def epoch_lengths(horizon: int) -> List[int]:
@@ -61,34 +50,24 @@ def run_rnm_ftnl(instance: Instance, spec: MechanismSpec, horizon: int,
 
     Uniform draws are consumed in a fixed order: one for the uniform initial
     action, then per epoch the loss uniforms (length x K), the resampling
-    uniforms (length x K, only when resampling is on), and the selection noise.
-    The selection after the final epoch is never used and is skipped.
+    uniforms (length x K, only when resampling is on), and the selection's
+    uniforms: `select_batch` on the epoch's one score row, K with noise and
+    one without. The selection after the final epoch is never used and is
+    skipped.
     """
-    record, _ = run_rnm_ftnl_traced(instance, spec, horizon, rng)
-    return record
-
-
-def run_rnm_ftnl_traced(instance: Instance, spec: MechanismSpec, horizon: int,
-                        rng: RngStream):
     lengths = epoch_lengths(horizon)
     action = rng.index(instance.k)  # J_0 uniform over [K]
     regret = 0.0
-    traces = []
+    epochs = []
     for r, length in enumerate(lengths, start=1):
         regret += length * float(instance.gaps[action])
+        epochs.append((r, action, length))
         losses = _sample_epoch_losses(instance, length, rng)
         contrib = bernoulli_resample(losses, rng) if spec.resample else losses
-        scores = contrib.sum(axis=0)
-        traces.append(EpochTrace(r=r, action=action, length=length, final_scores=scores))
         if r < len(lengths):
-            action = report_noisy_max(scores, spec, rng)
-    record = RunRecord(
-        horizon=horizon,
-        epoch_actions=tuple((t.r, t.action, t.length) for t in traces),
-        pseudoregret=regret,
-        seed=rng.seed,
-    )
-    return record, traces
+            action = int(select_batch(contrib.sum(axis=0), spec, rng)[0])
+    return RunRecord(horizon=horizon, epoch_actions=tuple(epochs), pseudoregret=regret,
+                     seed=rng.seed)
 
 
 def sample_scores(instance: Instance, resample: int, length: int, trials: int,

@@ -1,5 +1,4 @@
-"""Monte Carlo pseudoregret estimation, sweeps, selection frequencies, and
-scaling-shape tables."""
+"""Monte Carlo pseudoregret estimation, sweeps, and selection frequencies."""
 from __future__ import annotations
 
 import csv
@@ -12,19 +11,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Instance, MechanismSpec, NoiseKind, RegretEstimate
+from .core import Instance, MechanismSpec, RegretEstimate
 from .engine import run_batch, sample_scores
 from .mechanism import select_batch
 from .noise import RngStream, derive_seed
 
 CSV_HEADER = "run_id,instance,K,B,noise,epsilon,T,trials,regret_mean,regret_stderr,seed"
-
-DEFAULT_FREQUENCY_TRIALS = 100_000
-DEFAULT_REGRET_TRIALS = 10_000
-
-
-class AxisMismatch(ValueError):
-    """Sweep cells do not vary along the requested axis only."""
 
 
 @dataclass(frozen=True)
@@ -106,56 +98,6 @@ def sweep(instances: Sequence[Tuple[str, Instance]], specs: Sequence[MechanismSp
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(evaluate, enumerate(grid)))
     return [evaluate(item) for item in enumerate(grid)]
-
-
-def cell_axis_value(cell: SweepCell, axis: str) -> float:
-    if axis == "K":
-        return float(cell.instance.k)
-    if axis == "epsilon":
-        return float(cell.spec.epsilon)
-    if axis == "T":
-        return float(cell.horizon)
-    if axis == "delta_min":
-        if cell.instance.delta_min is None:
-            raise AxisMismatch(f"cell {cell.run_id} has no positive gap")
-        return float(cell.instance.delta_min)
-    raise AxisMismatch(f"unknown axis {axis!r}")
-
-
-def _normalize(axis: str, axis_value: float, regret: float) -> float:
-    if axis == "K":
-        return regret / math.log(axis_value)
-    if axis == "epsilon":
-        return regret * axis_value
-    if axis == "delta_min":
-        return regret * axis_value
-    return regret  # T axis: the claim is flatness, report regret unchanged
-
-
-def scaling_report(cells: Sequence[SweepCell], axis: str) -> List[Tuple[float, float, float]]:
-    """Rows of (axis value, regret, axis-normalized regret), sorted by axis value.
-
-    Requires the cells to vary along the requested axis only; everything else
-    (noise, B, and the non-axis coordinates) must be constant.
-    """
-    if not cells:
-        return []
-    values = [cell_axis_value(c, axis) for c in cells]
-    if len(set(values)) != len(values):
-        raise AxisMismatch(f"cells do not vary along axis {axis!r}")
-    others = {
-        "K": lambda c: (c.spec, c.horizon),
-        "epsilon": lambda c: (c.label, c.instance.k, c.spec.resample, c.spec.noise, c.horizon),
-        "T": lambda c: (c.label, c.spec),
-        "delta_min": lambda c: (c.instance.k, c.spec, c.horizon),
-    }[axis]
-    if len({others(c) for c in cells}) != 1:
-        raise AxisMismatch("cells vary in a non-axis coordinate")
-    rows = [
-        (v, c.estimate.mean, _normalize(axis, v, c.estimate.mean))
-        for v, c in sorted(zip(values, cells), key=lambda t: t[0])
-    ]
-    return rows
 
 
 def cells_to_csv(cells: Sequence[SweepCell]) -> str:

@@ -6,7 +6,7 @@ import functools
 import numpy as np
 
 from .core import MechanismSpec, NoiseKind, OutOfRange
-from .noise import RngStream, noise_ppf, sample_noise
+from .noise import RngStream, noise_ppf
 # Nothing here calls noise_pdf or noise_cdf, but bench/run.py looks both up on
 # this module with getattr to wrap them in its traced pass, so the names stay.
 from .noise import noise_cdf, noise_pdf  # noqa: F401
@@ -58,51 +58,34 @@ def bernoulli_resample(loss: np.ndarray, rng: RngStream) -> np.ndarray:
     return (rng.uniform(loss.shape) < loss).astype(float)
 
 
-def _argmin_random_ties(scores: np.ndarray, rng: RngStream) -> int:
-    ties = np.flatnonzero(_tie_mask(scores, scores.min()))
-    if len(ties) == 1:
-        return int(ties[0])
-    return int(ties[rng.index(len(ties))])
-
-
-def report_noisy_max(scores: np.ndarray, spec: MechanismSpec, rng: RngStream) -> int:
-    """argmax_j of (-G_j + Q_j); without noise, argmin of G with uniform tie-breaking."""
-    scores = np.asarray(scores, dtype=float)
-    if spec.noise is NoiseKind.NONE:
-        return _argmin_random_ties(scores, rng)
-    noisy = -scores + sample_noise(spec, rng, size=scores.shape)
-    return int(np.argmax(noisy))
-
-
 def select_batch(scores: np.ndarray, spec: MechanismSpec, rng: RngStream) -> np.ndarray:
-    """Vectorized report_noisy_max over rows of a (trials, K) score matrix.
+    """Report-noisy-max on each row of a (trials, K) score matrix: the argmax
+    of -G + Q, or without noise the argmin of G with uniform tie-breaking.
 
     The scores are only read, so a broadcast view of one row will do, and such
     a shared row (stride 0, as `sample_scores` returns for point masses) is
-    selected from in O(K + trials): one uniform per trial picks from the tie
-    set without noise, or else from the inverse CDF of the row's exact
-    selection pmf, `selection_pmf`. Distinct rows get their noisy values built
-    block by block of rows, as Q - G in the inverse CDF's output array
-    (bitwise -G + Q); PCG64 fills uniforms in C order, so the picks do not
-    depend on the block size.
+    selected from in O(K + trials): one uniform per trial through the inverse
+    CDF of the row's exact selection pmf, `selection_pmf`. Distinct rows get
+    their noisy values built block by block of rows, as Q - G in the inverse
+    CDF's output array (bitwise -G + Q); PCG64 fills uniforms in C order, so
+    the picks do not depend on the block size. Without noise, each distinct
+    row draws one uniform to pick from its tie set.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     n, k = scores.shape
-    shared = n > 1 and scores.strides[0] == 0
+    # One row, as the per-step engine passes, has stride 0 too; it draws real
+    # noise, which keeps that engine independent of selection_pmf.
+    if n > 1 and scores.strides[0] == 0:
+        # A zero-probability action adds nothing to cum, so no u lands on it.
+        cum = np.cumsum(selection_pmf(scores[0], spec))
+        return np.minimum(np.searchsorted(cum, rng.uniform(n) * cum[-1], side="right"), k - 1)
     if spec.noise is NoiseKind.NONE:
-        if shared:
-            ties = np.flatnonzero(_tie_mask(scores[0], scores[0].min()))
-            return ties[np.minimum((rng.uniform(n) * len(ties)).astype(int), len(ties) - 1)]
         mins = scores.min(axis=1, keepdims=True)
         is_min = _tie_mask(scores, mins)
         counts = is_min.sum(axis=1)
         pick = np.minimum((rng.uniform(n) * counts).astype(int), counts - 1)
         cum = np.cumsum(is_min, axis=1)
         return np.argmax(cum == (pick + 1)[:, None], axis=1)
-    if shared:
-        # A zero-probability action adds nothing to cum, so no u lands on it.
-        cum = np.cumsum(selection_pmf(scores[0], spec))
-        return np.minimum(np.searchsorted(cum, rng.uniform(n) * cum[-1], side="right"), k - 1)
     picks = np.empty(n, dtype=np.intp)
     rows = max(1, SELECT_BLOCK_VALUES // k)
     for lo in range(0, n, rows):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MechanismSpec, NoiseKind
+from .core import NoiseKind
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -172,10 +172,3 @@ def noise_pdf(kind: NoiseKind, x, scale: float):
 
 def noise_cdf(kind: NoiseKind, x, scale: float):
     return _CDF[kind](x, scale)
-
-
-def sample_noise(spec: MechanismSpec, rng: RngStream, size=None):
-    """Draw from the spec's noise family; zeros for the no-noise case."""
-    if spec.noise is NoiseKind.NONE:
-        return np.zeros(size if size is not None else ())
-    return noise_ppf(spec.noise, rng.uniform(size), spec.scale())

@@ -20,12 +20,14 @@ from .analysis import (
     SoftmaxSpec,
     binomial_cdf,
     check_derivative_bound,
+    exact_binomial_cdfs,
     exact_det_gumbel_regret,
+    exact_det_regret_epochs,
     gumbel_privacy_ratio,
     partial_sum_f,
     tail_bound,
 )
-from .core import MechanismSpec, NoiseKind
+from .core import FiniteSupport, MechanismSpec, NoiseKind, make_instance
 from .harness import estimate_pseudoregret, selection_frequency
 from .instances import (
     bernoulli_instance,
@@ -50,9 +52,17 @@ def binomial_band(freq: float, trials: int) -> float:
 
 
 def check_exact_vs_mc(seed: int = 20240801, trials: int = 100_000) -> VerifyResult:
-    """Monte Carlo pseudoregret (Gumbel, no resampling, deterministic instances)
-    agrees with the exact calculator within 3 stderr on random small cells."""
+    """Monte Carlo pseudoregret (no resampling, deterministic losses) agrees
+    with the exact calculator within 3 stderr on random small cells, the noise
+    family cycling Gumbel, Laplace, Exponential by cell.
+
+    Each loss is a one-atom FiniteSupport, so `sample_scores` gives every trial
+    its own score row and selection draws real noise; on point masses the rows
+    would be shared and sampled from the same `selection_pmf` the exact side
+    sums, and the check would compare that pmf with itself.
+    """
     rng = np.random.default_rng(seed)
+    families = (NoiseKind.GUMBEL, NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL)
     worst = 0.0
     failures = []
     for i in range(10):
@@ -60,24 +70,19 @@ def check_exact_vs_mc(seed: int = 20240801, trials: int = 100_000) -> VerifyResu
         means = np.round(rng.uniform(0.0, 1.0, size=k), 3)
         eps = float(rng.choice([0.5, 1.0, 2.0]))
         big_r = int(rng.integers(2, 7))
-        horizon = (1 << big_r) - 1
-        exact = exact_det_gumbel_regret(means, eps, big_r)
-        from .instances import deterministic_instance
-
-        est = estimate_pseudoregret(
-            deterministic_instance(means),
-            MechanismSpec(resample=0, noise=NoiseKind.GUMBEL, epsilon=eps),
-            horizon, trials, seed + i,
-        )
+        spec = MechanismSpec(resample=0, noise=families[i % 3], epsilon=eps)
+        exact = math.fsum(exact_det_regret_epochs(means, spec, big_r))
+        instance = make_instance([FiniteSupport(((m, 1.0),)) for m in means])
+        est = estimate_pseudoregret(instance, spec, (1 << big_r) - 1, trials, seed + i)
         slack = 3.0 * max(est.stderr, 1e-12)
         gap = abs(est.mean - exact)
-        worst = max(worst, gap / slack if slack else 0.0)
+        worst = max(worst, gap / slack)
         if gap > slack:
-            failures.append(f"cell {i}: |{est.mean:.4f} - {exact:.4f}| > {slack:.4f}")
-    return VerifyResult(
-        "exact-vs-mc", not failures,
-        failures[0] if failures else f"10 cells, worst |diff|/3stderr = {worst:.2f}",
-    )
+            failures.append(f"cell {i} ({spec.noise.value}): "
+                            f"|{est.mean:.4f} - {exact:.4f}| > {slack:.4f}")
+    detail = (f"{len(failures)} of 10 cells off, first {failures[0]}" if failures
+              else f"10 cells, worst |diff|/3stderr = {worst:.2f}")
+    return VerifyResult("exact-vs-mc", not failures, detail)
 
 
 def check_shape_k() -> VerifyResult:
@@ -164,33 +169,19 @@ def check_tail_bounds(seed: int = 90, trials: int = 100_000) -> VerifyResult:
 def check_binomial_grid() -> VerifyResult:
     """Binomial CDF is nonincreasing in p: exact rational arithmetic over the
     0.05 grid for every n <= 50 and every k, plus float-vs-exact agreement."""
-
-    def exact_cdf_vector(n: int, p: Fraction) -> List[Fraction]:
-        q = 1 - p
-        if q == 0:
-            pmf = [Fraction(0)] * n + [Fraction(1)]
-        else:
-            pmf = [q ** n]
-            for i in range(1, n + 1):
-                pmf.append(pmf[-1] * (n - i + 1) * p / (i * q))
-        out, acc = [], Fraction(0)
-        for term in pmf:
-            acc += term
-            out.append(acc)
-        return out
-
     grid = [Fraction(i, 20) for i in range(21)]
     violations = 0
     float_err = 0.0
     for n in range(1, 51):
         prev = None
         for p in grid:
-            cur = exact_cdf_vector(n, p)
+            cur = exact_binomial_cdfs(n, p)
             if prev is not None:
                 violations += sum(1 for a, b in zip(prev, cur) if a < b)
             prev = cur
+        exact = exact_binomial_cdfs(n, Fraction(7, 20))
         for k in (0, n // 2, n):
-            float_err = max(float_err, abs(binomial_cdf(k, n, 0.35) - float(exact_cdf_vector(n, Fraction(7, 20))[k])))
+            float_err = max(float_err, abs(binomial_cdf(k, n, 0.35) - float(exact[k])))
     passed = violations == 0 and float_err <= 1e-12
     return VerifyResult("binomial", passed,
                         f"{violations} exact violations; float vs exact err {float_err:.2e}")

@@ -2,14 +2,17 @@
 
 Each criterion runs one named verification suite, prints a single pass/fail
 line with the suite's detail and wall time, and asserts both the outcome and
-the runtime budget. Criterion 8 is split by noise family; every family runs at
-scale 2/eps and must meet e^eps under per-coordinate perturbations in {-1, 0, 1}.
+the runtime budget. Criterion 1 compares Monte Carlo on distinct score rows,
+which draws real noise, with the exact selection pmf for every noise family,
+and must fail when that pmf is wrong. Criterion 8 is split by noise family;
+every family runs at scale 2/eps and must meet e^eps under per-coordinate
+perturbations in {-1, 0, 1}.
 """
 import time
 
 import pytest
 
-from dpexperts import verify
+from dpexperts import mechanism, verify
 
 BUDGETS = {
     "exact-vs-mc": 120.0,
@@ -39,7 +42,25 @@ def _run(criterion: str, suite: str):
 
 
 def test_criterion_01_exact_vs_monte_carlo():
-    _run("criterion 1: exact vs Monte Carlo agreement", "exact-vs-mc")
+    _run("criterion 1: exact vs Monte Carlo agreement, every noise family", "exact-vs-mc")
+
+
+# A wrong exact pmf and the cells of the families it serves:
+# the softmax at exponent -G eps instead of -G eps / 2 (Gumbel, 4 cells), and
+# the Laplace/Exponential kernel on doubled gaps (6 cells).
+PMF_MUTANTS = {
+    "log_gumbel_selection_pmf": (lambda f: lambda scores, eps: f(scores, 2.0 * eps), 4),
+    "_hazard_pmf": (lambda f: lambda g, kind: f(2.0 * g, kind), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PMF_MUTANTS))
+def test_criterion_01_fails_under_a_wrong_pmf(monkeypatch, name):
+    mutate, cells = PMF_MUTANTS[name]
+    monkeypatch.setattr(mechanism, name, mutate(getattr(mechanism, name)))
+    result = verify.SUITES["exact-vs-mc"]()
+    assert not result.passed
+    assert result.detail.startswith(f"{cells} of 10 cells off")
 
 
 def test_criterion_02_log_k_scaling():

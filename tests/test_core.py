@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import subprocess
@@ -21,11 +20,7 @@ from dpexperts.core import (
     PointMass,
     RegretEstimate,
     RunRecord,
-    instance_from_json,
-    instance_to_json,
     make_instance,
-    model_from_dict,
-    model_to_dict,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -110,27 +105,6 @@ class TestInstance:
         inst = make_instance([PointMass(m) for m in means])
         assert inst.gaps.min() == 0.0
         assert np.all(inst.gaps >= 0.0)
-
-    def test_json_round_trip(self):
-        inst = make_instance([
-            PointMass(0.3),
-            Bernoulli(0.7),
-            FiniteSupport(((0.4, 0.8), (0.0, 0.2))),
-        ])
-        again = instance_from_json(instance_to_json(inst))
-        assert again.models == inst.models
-        assert np.array_equal(again.means, inst.means)
-
-    def test_json_schema_shape(self):
-        doc = json.loads(instance_to_json(make_instance([PointMass(0.3)])))
-        assert doc == {"models": [{"kind": "point", "value": 0.3}]}
-
-    def test_model_dict_round_trip(self):
-        for model in (PointMass(0.1), Bernoulli(0.6),
-                      FiniteSupport(((1.0, 0.5), (0.0, 0.5)))):
-            assert model_from_dict(model_to_dict(model)) == model
-        with pytest.raises(InvalidSupport):
-            model_from_dict({"kind": "mystery"})
 
 
 class TestMechanismSpec:

@@ -11,7 +11,6 @@ from dpexperts.engine import (
     epoch_lengths,
     run_batch,
     run_rnm_ftnl,
-    run_rnm_ftnl_traced,
     sample_scores,
 )
 from dpexperts.instances import (
@@ -62,13 +61,6 @@ class TestSingleTrajectory:
         r1 = run_rnm_ftnl(inst, spec, 63, RngStream(42))
         r2 = run_rnm_ftnl(inst, spec, 63, RngStream(42))
         assert r1 == r2
-
-    def test_traces_record_epoch_scores(self):
-        inst = deterministic_instance([0.0, 1.0])
-        spec = MechanismSpec(0, NoiseKind.NONE)
-        _, traces = run_rnm_ftnl_traced(inst, spec, 7, RngStream(0))
-        for trace in traces:
-            assert np.allclose(trace.final_scores, trace.length * inst.means)
 
     def test_deterministic_no_noise_locks_onto_best_action(self):
         inst = deterministic_instance([0.9, 0.1, 0.5])

@@ -8,11 +8,8 @@ import pytest
 from dpexperts.core import MechanismSpec, NoiseKind
 from dpexperts.harness import (
     CSV_HEADER,
-    AxisMismatch,
-    cell_axis_value,
     cells_to_csv,
     estimate_pseudoregret,
-    scaling_report,
     selection_frequency,
     sweep,
     write_csv,
@@ -20,7 +17,6 @@ from dpexperts.harness import (
 from dpexperts.instances import (
     bernoulli_instance,
     deterministic_instance,
-    uniform_grid_instance,
 )
 
 GUMBEL1 = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=1.0)
@@ -118,37 +114,3 @@ class TestCsv:
         path = tmp_path / "out.csv"
         write_csv(cells, str(path))
         assert path.read_text().startswith(CSV_HEADER)
-
-
-class TestScalingReport:
-    def test_k_axis_normalizes_by_log(self):
-        specs = [MechanismSpec(0, NoiseKind.LAPLACE, epsilon=1.0)]
-        instances = [(f"K={k}", uniform_grid_instance(k)) for k in (8, 16, 32)]
-        cells = sweep(instances, specs, [1023], trials=500, base_seed=3)
-        rows = scaling_report(cells, "K")
-        assert [v for v, _, _ in rows] == [8.0, 16.0, 32.0]
-        for v, regret, norm in rows:
-            assert norm == pytest.approx(regret / math.log(v))
-
-    def test_epsilon_axis(self):
-        inst = [("g", uniform_grid_instance(8))]
-        specs = [MechanismSpec(0, NoiseKind.GUMBEL, epsilon=e) for e in (0.5, 2.0)]
-        cells = sweep(inst, specs, [255], trials=500, base_seed=3)
-        rows = scaling_report(cells, "epsilon")
-        for v, regret, norm in rows:
-            assert norm == pytest.approx(regret * v)
-
-    def test_mismatched_cells_rejected(self):
-        inst = [("g", uniform_grid_instance(8))]
-        specs = [MechanismSpec(0, NoiseKind.GUMBEL, epsilon=1.0)]
-        cells = sweep(inst, specs, [15, 31], trials=50, base_seed=1)
-        with pytest.raises(AxisMismatch):
-            scaling_report(cells, "epsilon")
-        with pytest.raises(AxisMismatch):
-            scaling_report(cells, "orbit")
-
-    def test_delta_min_axis_needs_positive_gap(self):
-        cells = sweep([("flat", deterministic_instance([0.5, 0.5]))],
-                      [GUMBEL1], [7], trials=10, base_seed=0)
-        with pytest.raises(AxisMismatch):
-            cell_axis_value(cells[0], "delta_min")

@@ -14,7 +14,6 @@ from dpexperts.mechanism import (
     TooManyActions,
     bernoulli_resample,
     log_gumbel_selection_pmf,
-    report_noisy_max,
     rnm_pmf_oracle,
     select_batch,
     selection_pmf,
@@ -124,12 +123,12 @@ class TestNoNoiseSelection:
         spec = MechanismSpec(0, NoiseKind.NONE)
         rng = RngStream(1)
         for _ in range(50):
-            assert report_noisy_max(np.array([3.0, 1.0, 2.0]), spec, rng) == 1
+            assert select_batch(np.array([3.0, 1.0, 2.0]), spec, rng)[0] == 1
 
     def test_ties_broken_uniformly(self):
         spec = MechanismSpec(0, NoiseKind.NONE)
         rng = RngStream(2)
-        picks = np.array([report_noisy_max(np.array([1.0, 5.0, 1.0, 1.0]), spec, rng)
+        picks = np.array([select_batch(np.array([1.0, 5.0, 1.0, 1.0]), spec, rng)[0]
                           for _ in range(30_000)])
         counts = np.bincount(picks, minlength=4) / len(picks)
         assert counts[1] == 0.0

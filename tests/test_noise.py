@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from dpexperts.core import MechanismSpec, NoiseKind
+from dpexperts.mechanism import select_batch
 from dpexperts.noise import (
     RngStream,
     derive_seed,
@@ -19,7 +20,6 @@ from dpexperts.noise import (
     noise_cdf,
     noise_pdf,
     noise_ppf,
-    sample_noise,
     splitmix64,
 )
 
@@ -104,22 +104,25 @@ class TestSampling:
         scale = 1.7
         spec = MechanismSpec(0, kind, epsilon=2.0 / scale)
         assert spec.scale() == pytest.approx(scale)
-        x = sample_noise(spec, RngStream(99), size=200_000)
+        x = noise_ppf(kind, RngStream(99).uniform(200_000), spec.scale())
         assert x.mean() == pytest.approx(mean_of_scale * scale, abs=0.02)
 
     def test_no_noise_samples_zero(self):
+        # No noise is report-noisy-max with Q = 0: the argmax of -G.
         spec = MechanismSpec(0, NoiseKind.NONE)
-        assert np.all(sample_noise(spec, RngStream(1), size=10) == 0.0)
+        scores = np.random.default_rng(1).uniform(0.0, 3.0, size=(500, 6))
+        assert np.array_equal(select_batch(scores, spec, RngStream(1)),
+                              np.argmax(-scores, axis=1))
 
     def test_scale_must_be_positive(self):
-        # sample_noise takes its scale from a MechanismSpec, which refuses
+        # The samplers take their scale from a MechanismSpec, which refuses
         # every epsilon that would give a scale that is not positive.
         for kind in KINDS:
             for eps in (0.0, -1.0, math.nan):
                 with pytest.raises(ValueError):
                     MechanismSpec(0, kind, epsilon=eps)
             spec = MechanismSpec(0, kind, epsilon=1e-3)
-            assert np.all(np.isfinite(sample_noise(spec, RngStream(0), size=10)))
+            assert np.all(np.isfinite(noise_ppf(kind, RngStream(0).uniform(10), spec.scale())))
 
 
 def _reference_ppf(kind, u, scale):
