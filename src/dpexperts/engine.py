@@ -1,6 +1,7 @@
 """Full trajectory of the epoch-doubling noisy-max follow-the-leader algorithm."""
 from __future__ import annotations
 
+import math
 from typing import List
 
 import numpy as np
@@ -13,7 +14,15 @@ from .core import (
     PointMass,
     RunRecord,
 )
-from .mechanism import bernoulli_resample, select_batch
+from .mechanism import (
+    PRUNE_SCALES,
+    TIE_RTOL,
+    bernoulli_resample,
+    lattice_selection_pmf,
+    sample_pmf,
+    select_batch,
+    selection_pmf,
+)
 from .noise import RngStream
 
 
@@ -52,8 +61,8 @@ def run_rnm_ftnl(instance: Instance, spec: MechanismSpec, horizon: int,
     action, then per epoch the loss uniforms (length x K), the resampling
     uniforms (length x K, only when resampling is on), and the selection's
     uniforms: `select_batch` on the epoch's one score row, K with noise and
-    one without. The selection after the final epoch is never used and is
-    skipped.
+    one without. Nothing reads the final epoch's losses, since its selection
+    is never used, so that epoch draws nothing.
     """
     lengths = epoch_lengths(horizon)
     action = rng.index(instance.k)  # J_0 uniform over [K]
@@ -62,9 +71,9 @@ def run_rnm_ftnl(instance: Instance, spec: MechanismSpec, horizon: int,
     for r, length in enumerate(lengths, start=1):
         regret += length * float(instance.gaps[action])
         epochs.append((r, action, length))
-        losses = _sample_epoch_losses(instance, length, rng)
-        contrib = bernoulli_resample(losses, rng) if spec.resample else losses
         if r < len(lengths):
+            losses = _sample_epoch_losses(instance, length, rng)
+            contrib = bernoulli_resample(losses, rng) if spec.resample else losses
             action = int(select_batch(contrib.sum(axis=0), spec, rng)[0])
     return RunRecord(horizon=horizon, epoch_actions=tuple(epochs), pseudoregret=regret,
                      seed=rng.seed)
@@ -108,15 +117,167 @@ def sample_scores(instance: Instance, resample: int, length: int, trials: int,
     return scores
 
 
+# A binomial pmf is cut where its log falls BINOMIAL_LOG_CUT below the mode's.
+BINOMIAL_LOG_CUT = 70.0
+
+# Lattice columns share one lattice when their steps agree to this relative
+# tolerance and their lowest scores differ by whole steps to within this
+# fraction of a step.
+LATTICE_RTOL = 1e-12
+LATTICE_ATOL_STEPS = 1e-6
+
+# epoch_selection_pmf leaves an epoch to the sampler when its laws times its
+# window, in lattice steps, exceed this many values: the kernel then holds a
+# few arrays of that size, about 8 MB each.
+PMF_MAX_VALUES = 1 << 20
+
+
+def _binomial_pmf(n: int, p: float):
+    """(lowest count, pmf) of Binomial(n, p), numpy only.
+
+    The log-pmf relative to the mode m = floor((n + 1) p) is a cumsum of the
+    log-ratios log((n - k) p / ((k + 1)(1 - p))) outwards from m, on a window
+    doubled until both ends are below -BINOMIAL_LOG_CUT or at 0 and n. The
+    pmf is cut there and divided by its sum. The cut is safe: the pmf is
+    unimodal and its log is concave, so beyond the cut it falls faster than
+    the Gaussian-like shape that carries unit mass inside, and the dropped
+    mass is of order e^-70 = 4e-31, far below the 1e-13 the selection pmf
+    is integrated to. Anchoring the mode's level with
+    math.lgamma instead of the sum would be off by 4e-11 at n = 2^19 and 2e-8
+    at n = 2^29: lgamma(n + 1) is about 1e7 there, and its rounding is
+    absolute.
+    """
+    if p <= 0.0 or p >= 1.0:
+        return (0 if p <= 0.0 else n), np.ones(1)
+    mode = min(int((n + 1) * p), n)
+    log_odds = math.log(p) - math.log1p(-p)
+    width = int(12.0 * math.sqrt(n * p * (1.0 - p))) + 16
+    while True:
+        up = np.arange(mode, min(n, mode + width), dtype=float)
+        down = np.arange(mode - 1, max(-1, mode - 1 - width), -1, dtype=float)
+        log_up = np.cumsum(np.log((n - up) / (up + 1.0)) + log_odds)
+        log_down = np.cumsum(np.log((down + 1.0) / (n - down)) - log_odds)
+        if ((up.size == n - mode or log_up[-1] < -BINOMIAL_LOG_CUT)
+                and (down.size == mode or log_down[-1] < -BINOMIAL_LOG_CUT)):
+            break
+        width *= 2
+    log_pmf = np.concatenate([log_down[::-1], [0.0], log_up])
+    kept = np.flatnonzero(log_pmf >= -BINOMIAL_LOG_CUT)
+    pmf = np.exp(log_pmf[kept[0]:kept[-1] + 1])
+    return mode - down.size + int(kept[0]), pmf / pmf.sum()
+
+
+def _score_laws(instance: Instance, resample: int, length: int):
+    """Each action's epoch score as base + step * Binomial(n, q), the laws
+    `sample_scores` draws from: Binomial(length, mu) with resampling or for
+    Bernoulli losses; length * value (n = 0) for a point mass and a one-atom
+    finite support; L b + (a - b) Binomial(L, q) for a two-atom support
+    {a w.p. q, b}. None when some support has three or more atoms."""
+    laws = []
+    for model in instance.models:
+        if resample or isinstance(model, Bernoulli):
+            laws.append((0.0, 1.0, length, model.mean()))
+        elif isinstance(model, PointMass):
+            laws.append((length * model.value, 0.0, 0, 0.0))
+        elif isinstance(model, FiniteSupport):
+            atoms = sorted({v for v, p in model.atoms if p > 0.0})
+            if len(atoms) > 2:
+                return None
+            if len(atoms) == 1:
+                laws.append((length * atoms[0], 0.0, 0, 0.0))
+                continue
+            b, a = atoms
+            total = math.fsum(p for _, p in model.atoms)
+            q = math.fsum(p for v, p in model.atoms if v == a) / total
+            laws.append((length * b, a - b, length, q))
+        else:
+            raise TypeError(f"unknown loss model {model!r}")
+    return laws
+
+
+def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
+    """Exact pmf of the action selected after one epoch of `length` steps,
+    marginal over that epoch's scores and the selection noise.
+
+    With every action a point mass and no resampling it is `selection_pmf`
+    of the one score row `sample_scores` shares, length * means. Otherwise
+    each score is a point or a lattice variable (`_score_laws`), actions
+    with the same law are grouped, and `lattice_selection_pmf` integrates
+    the selection over the laws.
+
+    Actions that surely lose get p = 0 before their pmfs are built: by
+    Hoeffding, a count the binomial cut keeps lies within
+    sqrt(n (BINOMIAL_LOG_CUT + log(n + 1)) / 2) of n q, and an action whose
+    lowest possible score is more than PRUNE_SCALES noise scales (ties,
+    without noise) above every other's highest is one
+    `lattice_selection_pmf` would prune anyway.
+
+    Returns None where the random scores share no single lattice (a finite
+    support with three or more atoms, or lattice steps or offsets that
+    differ), and where the laws times the integration window, in lattice
+    steps, would exceed PMF_MAX_VALUES: supports many steps wide that
+    overlap, or noise many steps wide.
+    """
+    if not spec.resample and all(isinstance(m, PointMass) for m in instance.models):
+        return selection_pmf(length * instance.means, spec)
+    laws = _score_laws(instance, spec.resample, length)
+    if laws is None:
+        return None
+    base, step, n, q = (np.array(column) for column in zip(*laws))
+    random = (n > 0) & (q > 0.0) & (q < 1.0)
+    base += step * np.where(random, 0.0, np.round(q) * n)
+    step, n, q = (np.where(random, column, 0) for column in (step, n, q))
+    if not random.any():
+        return selection_pmf(base, spec)
+    radius = step * (np.sqrt(n * (BINOMIAL_LOG_CUT + np.log(n + 1.0)) / 2.0) + 1.0)
+    centre = base + step * n * q
+    best = (centre + radius).min()
+    near = np.flatnonzero(
+        centre - radius <= best + PRUNE_SCALES * spec.scale() + TIE_RTOL * (1.0 + abs(best)))
+    pmf = np.zeros(instance.k)
+    lattice = near[random[near]]
+    if lattice.size == 0:
+        pmf[near] = selection_pmf(base[near], spec)
+        return pmf
+    unit = step[lattice[0]]
+    whole = (base[lattice] - base[lattice[0]]) / unit
+    if (np.any(np.abs(step[lattice] - unit) > LATTICE_RTOL * unit)
+            or np.any(np.abs(whole - np.round(whole)) > LATTICE_ATOL_STEPS)):
+        return None
+    _, first, group, copies = np.unique(
+        np.stack([base[near], step[near], n[near], q[near]], axis=1), axis=0,
+        return_index=True, return_inverse=True, return_counts=True)
+    # The window runs from 61 noise scales below the best top to 45 above
+    # the lowest score (`_lattice_hazard_pmf`), and each convolution also
+    # spans the widest support.
+    spread = (centre + radius)[near].max() - (centre - radius)[near].min()
+    width = (spread + 110.0 * spec.scale()) / unit + 2.0 * radius[near].max() / unit + 4.0
+    if copies.size * width > PMF_MAX_VALUES:
+        return None
+    lows, pmfs = [], []
+    for i in near[first]:
+        low, column = _binomial_pmf(int(n[i]), q[i]) if random[i] else (0, np.ones(1))
+        lows.append(base[i] + step[i] * low)
+        pmfs.append(column)
+    pmf[near] = lattice_selection_pmf(np.array(lows), pmfs, unit, copies, spec)[group.ravel()]
+    return pmf
+
+
 def run_batch(instance: Instance, spec: MechanismSpec, horizon: int, trials: int,
               rng: RngStream) -> np.ndarray:
     """Per-trial pseudoregret for `trials` independent trajectories.
 
     Scores never depend on the actions played (full information), so the
     selection entering epoch r depends only on epoch r-1's scores and the
-    per-epoch selections are independent across epochs. Each epoch is sampled
-    via `sample_scores`; the result is distributionally identical to looping
-    `run_rnm_ftnl` (checked against it in the test suite).
+    per-epoch selections are independent across epochs. Each epoch's picks
+    are drawn from its exact selection pmf, `epoch_selection_pmf`, one
+    uniform per trial, so the per-trial regret has the distribution of
+    looping `run_rnm_ftnl` (checked against it in the test suite).
+
+    Fallback: where `epoch_selection_pmf` returns None (scores on no single
+    lattice, or an integration window over PMF_MAX_VALUES), the epoch
+    samples its (trials, K) scores with `sample_scores` and selects with
+    `select_batch`.
     """
     lengths = epoch_lengths(horizon)
     gaps = instance.gaps
@@ -126,6 +287,10 @@ def run_batch(instance: Instance, spec: MechanismSpec, horizon: int, trials: int
     for r, length in enumerate(lengths, start=1):
         regret += length * gaps[actions]
         if r < len(lengths):
-            scores = sample_scores(instance, spec.resample, length, trials, rng)
-            actions = select_batch(scores, spec, rng)
+            pmf = epoch_selection_pmf(instance, spec, length)
+            if pmf is None:
+                scores = sample_scores(instance, spec.resample, length, trials, rng)
+                actions = select_batch(scores, spec, rng)
+            else:
+                actions = sample_pmf(pmf, trials, rng)
     return regret

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -76,9 +77,7 @@ def select_batch(scores: np.ndarray, spec: MechanismSpec, rng: RngStream) -> np.
     # One row, as the per-step engine passes, has stride 0 too; it draws real
     # noise, which keeps that engine independent of selection_pmf.
     if n > 1 and scores.strides[0] == 0:
-        # A zero-probability action adds nothing to cum, so no u lands on it.
-        cum = np.cumsum(selection_pmf(scores[0], spec))
-        return np.minimum(np.searchsorted(cum, rng.uniform(n) * cum[-1], side="right"), k - 1)
+        return sample_pmf(selection_pmf(scores[0], spec), n, rng)
     if spec.noise is NoiseKind.NONE:
         mins = scores.min(axis=1, keepdims=True)
         is_min = _tie_mask(scores, mins)
@@ -115,12 +114,15 @@ def selection_pmf(scores: np.ndarray, spec: MechanismSpec) -> np.ndarray:
 def _log_cdf_sum(kind: NoiseKind, y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sum_i log F(y_n + g_i) for each node y_n, with unit-scale noise CDF F.
 
-    Both families are written through t = e^-z, z = y + g, an outer product
+    Gumbel's log F(z) = -e^-z sums to -e^-y sum_i e^-g_i. The other two
+    families are written through t = e^-z, z = y + g, an outer product
     taken a chunk of actions at a time: Exponential F = 1 - t for z > 0 (the
     only z evaluated); Laplace F = 1 - t/2 for z >= 0 and e^z / 2 =
     e^min(z, 0) (1 - min(t, 1)/2) below, where the sum of the min(z, 0) over
     i comes from prefix sums of the sorted g.
     """
+    if kind is NoiseKind.GUMBEL:
+        return -np.exp(-y) * np.exp(-g).sum()
     total = np.zeros(y.size)
     cols = max(1, SELECT_BLOCK_VALUES // y.size)
     exp_y = np.exp(-y)
@@ -153,30 +155,42 @@ def _reversed_hazard(kind: NoiseKind, y: np.ndarray, g: np.ndarray) -> np.ndarra
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_legendre():
-    """GL_ORDER-point Gauss-Legendre nodes and weights on [-1, 1], made on
-    first use, so that importing the package does not import numpy.polynomial."""
-    return np.polynomial.legendre.leggauss(GL_ORDER)
+def _gauss_legendre(order: int = GL_ORDER):
+    """Gauss-Legendre nodes and weights on [-1, 1], made on first use, so that
+    importing the package does not import numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _quadrature_nodes(kind: NoiseKind, g: np.ndarray):
-    """Gauss-Legendre nodes and weights on [cut, PRUNE_SCALES] for gaps g >= 0.
+def _lower_cut(kind: NoiseKind, part: np.ndarray) -> float:
+    """The last point on a 4-scale, then 1/8-scale, grid where
+    b(y) = sum_i log F(y + part_i) is at most LOG_CUT, for sorted part >= 0.
 
-    The cut is the last point on a 4-scale, then 1/8-scale, grid where
-    b(y) = sum of log F(y + g_i) over the CUT_ACTIONS + 1 smallest g less the
-    smallest is at most LOG_CUT. b bounds log prod_{i != j} F(y + g_i) from
-    above for every j and rises with y, so below the cut each integrand is
-    under e^LOG_CUT f(y + g_j). Exponential's domain starts at 0 or above:
-    below 0 the factor F(y + 0), and so every integrand, is 0. Laplace's F has
-    a kink at each y = -g_i, so its panels are split there; Exponential's
-    factors are analytic on the domain.
+    b rises with y, and callers choose part so that b bounds the integrand
+    below the cut. Exponential starts at 0: callers shift so that some
+    factor F(y + 0) is 0, and so every integrand, below 0.
     """
-    part = np.sort(g)[1:CUT_ACTIONS + 1]
-    # b(lo) <= log F(lo + part[0]) = -61 - log 2 for Laplace.
-    lo = 0.0 if kind is NoiseKind.EXPONENTIAL else -part[0] - 61.0
+    # b(lo) <= log F(lo + part[0]), which is -61 - log 2 for Laplace and -61
+    # for Gumbel.
+    lo = {NoiseKind.EXPONENTIAL: 0.0, NoiseKind.LAPLACE: -part[0] - 61.0,
+          NoiseKind.GUMBEL: -part[0] - math.log(61.0)}[kind]
     for step in (4.0, 0.125):
         lo += step * np.count_nonzero(
             _log_cdf_sum(kind, lo + step * np.arange(1, 33), part) <= LOG_CUT)
+    return lo
+
+
+def _quadrature_nodes(kind: NoiseKind, g: np.ndarray):
+    """Gauss-Legendre nodes and weights on [`_lower_cut`, PRUNE_SCALES] for
+    gaps g >= 0 with min g = 0.
+
+    The cut bounds b(y) over the CUT_ACTIONS + 1 smallest g less the
+    smallest. b then bounds log prod_{i != j} F(y + g_i) from above for
+    every j, so below the cut each integrand is under e^LOG_CUT f(y + g_j).
+    Panels are one scale wide for UNIT_PANELS scales above the cut, then
+    WIDE_PANEL scales wide. Laplace's F has a kink at each y = -g_i, so its
+    panels are split there; Exponential's factors are analytic on the domain.
+    """
+    lo = _lower_cut(kind, np.sort(g)[1:CUT_ACTIONS + 1])
     unit = lo + np.arange(UNIT_PANELS + 1.0)
     edges = np.concatenate([unit[unit < PRUNE_SCALES],
                             np.arange(unit[-1] + WIDE_PANEL, PRUNE_SCALES, WIDE_PANEL),
@@ -210,6 +224,187 @@ def _hazard_pmf(g: np.ndarray, kind: NoiseKind) -> np.ndarray:
     for lo in range(0, gk.size, cols):
         p[keep[lo:lo + cols]] = weighted @ _reversed_hazard(kind, y, gk[lo:lo + cols])
     return p
+
+
+def lattice_selection_pmf(lows: np.ndarray, pmfs, step: float, copies: np.ndarray,
+                          spec: MechanismSpec) -> np.ndarray:
+    """Exact selection pmf of report-noisy-max on independent random scores,
+    marginal over the scores and the noise.
+
+    Law i is lows[i] + step * k with probability pmfs[i][k], and copies[i]
+    actions have it; the result holds each one's selection probability, so
+    sum(copies * result) is 1. A one-entry pmf is a point and may lie
+    anywhere; the longer pmfs are lattice laws and must share one lattice:
+    step > 0 and lows congruent modulo step. Without noise the tie split is
+    summed over the support (`_lattice_tie_pmf`); with noise
+    p_j = int f_{Y_j} prod_{i != j} F_{Y_i} for Y_i = -S_i + Q_i is
+    integrated on lattice-aligned panels (`_lattice_hazard_pmf`).
+    """
+    lows = np.asarray(lows, dtype=float)
+    sizes = np.array([pmf.size for pmf in pmfs])
+    best = (lows + step * (sizes - 1)).min()
+    if spec.noise is NoiseKind.NONE:
+        return _lattice_tie_pmf(lows, pmfs, sizes, step, copies, best)
+    # Scores are shift-invariant; shifting by the best top of support keeps
+    # the nodes near 0, where a point's F(y + c) loses no digits.
+    beta = spec.scale()
+    return _lattice_hazard_pmf((lows - best) / beta, pmfs, sizes, step / beta, copies, spec)
+
+
+def _lattice_tie_pmf(lows, pmfs, sizes, step, copies, best) -> np.ndarray:
+    """p_j = sum_s P(S_j = s) int_0^1 prod_{i != j} (P(S_i > s) + z P(S_i = s)) dz.
+
+    Given S_j = s, j wins with probability E[1/(1 + N)], N the number of
+    other actions tied at s, when none is below s; that expectation is the
+    z-integral, a polynomial of degree K - 1 that ceil(K/2)-point
+    Gauss-Legendre integrates exactly. Support values within TIE_RTOL of a
+    smaller one tie with it, as in `_tie_mask`. Values above the best top of
+    support lose to it surely, and laws whose support starts above it never
+    win.
+    """
+    p = np.zeros(sizes.size)
+    top = best + TIE_RTOL * (1.0 + abs(best))
+    keep = np.flatnonzero(lows <= top)
+    values = [lows[i] + step * np.arange(sizes[i]) for i in keep]
+    support = np.unique(np.concatenate([v[v <= top] for v in values]))
+    starts = support[np.concatenate(
+        [[True], np.diff(support) > TIE_RTOL * (1.0 + np.abs(support[:-1]))])]
+    eq = np.zeros((keep.size, starts.size))
+    above = np.zeros((keep.size, 1))
+    for row, (i, v) in enumerate(zip(keep, values)):
+        within = v <= top
+        tie = np.searchsorted(starts, v[within], side="right") - 1
+        eq[row] = np.bincount(tie, weights=pmfs[i][within], minlength=starts.size)
+        above[row] = pmfs[i][~within].sum()
+    # P(S_i > s): the mass above later tie classes and above the top.
+    gt = above + np.cumsum(eq[:, ::-1], axis=1)[:, ::-1] - eq
+    many = copies[keep][:, None]
+    x, w = _gauss_legendre(-(-int(many.sum()) // 2))
+    ones = np.ones((1, starts.size))
+    for z, weight in zip((x + 1.0) / 2.0, w / 2.0):
+        factor = gt + z * eq
+        # prod over the other actions: the other laws' factors to their
+        # multiplicity, and this law's to one less.
+        powers = factor ** many
+        before = np.cumprod(np.vstack([ones, powers[:-1]]), axis=0)
+        after = np.cumprod(np.vstack([powers[1:], ones])[::-1], axis=0)[::-1]
+        p[keep] += weight * (eq * before * after * factor ** (many - 1)).sum(axis=1)
+    return p
+
+
+def _unit_cdf_pdf(kind: NoiseKind, z: np.ndarray):
+    """(F(z), f(z)) of unit-scale noise, finite and warning-free for any z."""
+    if kind is NoiseKind.GUMBEL:
+        t = np.exp(-np.maximum(z, -700.0))
+        cdf = np.exp(-t)
+        return cdf, t * cdf
+    t = np.exp(-np.abs(z))
+    if kind is NoiseKind.LAPLACE:
+        t *= 0.5
+        return np.where(z < 0.0, t, 1.0 - t), t
+    t[z < 0.0] = 0.0
+    return np.where(z < 0.0, 0.0, -np.expm1(-np.abs(z))), t
+
+
+def _next_fft_size(n: int) -> int:
+    """Smallest 2^a 3^b >= n, a length pocketfft transforms fast."""
+    return min((1 << max(0, math.ceil(math.log2(n / 3 ** b) - 1e-9))) * 3 ** b
+               for b in range(int(math.log(n, 3)) + 2))
+
+
+def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
+    """p_j = int f_{Y_j}(y) prod_{i != j} F_{Y_i}(y) dy in noise-scale units:
+    lowest scores g (top of support min 0) and lattice step h.
+
+    A lattice law's F_Y(y) = sum_k pmf[k] F(y + g + h k) is the pmf
+    correlated with F sampled on a grid of spacing h, so nodes that repeat
+    with period h take F_Y and f_Y at every period from one FFT convolution
+    per in-period node offset. The period is anchored at a lattice kink and
+    split into panels at most min(h, 1) wide and at each point's kink, so
+    every Laplace or Exponential kink is a panel edge; points are evaluated
+    directly. The offsets are looped, so memory stays (laws x periods).
+    With W = prod_i F_{Y_i}^copies_i, p_j = int h_j W for h = f_Y / F_Y.
+
+    A law's floor t is its lowest support value with more than
+    e^-PRUNE_SCALES of mass at or below it. A law with t > PRUNE_SCALES gets
+    p = 0: it beats the best top of support 0 with probability at most that
+    plus the two-action tail at gap PRUNE_SCALES, as in `_hazard_pmf`. The
+    domain ends at PRUNE_SCALES - min t, above which no Y_j lies with
+    probability over 2 e^-PRUNE_SCALES. Below the lower cut c the mass lost
+    is at most P(max_i Y_i <= c) = W(c) <= prod_i F(c + top_i), and
+    `_lower_cut` puts the log of that bound at LOG_CUT.
+    """
+    kind = spec.noise
+    tail = math.exp(-PRUNE_SCALES)
+    tops = g + h * (sizes - 1)
+    floors = g + h * np.array([np.count_nonzero(np.cumsum(pmf) <= tail) for pmf in pmfs])
+    p = np.zeros(sizes.size)
+    keep = np.flatnonzero(floors <= PRUNE_SCALES)
+    lattice = keep[sizes[keep] > 1]
+    points = keep[sizes[keep] == 1]
+    if copies[keep].sum() == 1:
+        p[keep] = 1.0
+        return p
+    if lattice.size == 0:
+        # The kept laws are points: the pmf of their score row, copies included.
+        row = selection_pmf(np.repeat(g[keep] * spec.scale(), copies[keep]), spec)
+        p[keep] = row[np.cumsum(copies[keep]) - 1]
+        return p
+    y_lo = _lower_cut(kind, np.sort(np.repeat(tops[keep], copies[keep]))[:CUT_ACTIONS])
+    y_hi = PRUNE_SCALES - floors[keep].min()
+    anchor = -g[lattice[0]]
+    first = math.floor((y_lo - anchor) / h)
+    periods = math.ceil((y_hi - anchor) / h) - first
+    # Law i's kinks y = -(g_i + h k) are anchor - h (shift_i + k).
+    shift = np.rint((g[lattice] + anchor) / h).astype(int)
+    span = sizes[lattice]
+    base = first + shift.min()
+    count = int(periods + (shift + span).max() - shift.min() - 1)
+    nfft = _next_fft_size(count)
+    starts = shift - shift.min() + span - 1
+    gather = (np.arange(lattice.size)[:, None], starts[:, None] + np.arange(periods))
+    reversed_pmfs = np.zeros((lattice.size, nfft))
+    for row, i in enumerate(lattice):
+        reversed_pmfs[row, :span[row]] = pmfs[i][::-1]
+    fft = np.fft
+    kernels = fft.rfft(reversed_pmfs)
+    edges = np.union1d(np.linspace(0.0, h, math.ceil(h) + 1), np.mod(-g[points] - anchor, h))
+    mid = (edges[1:] + edges[:-1]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    x, w = _gauss_legendre()
+    grid = h * (base + np.arange(count))
+    y_period = anchor + h * (first + np.arange(periods))
+    laws = np.concatenate([lattice, points])
+    many = copies[laws][:, None]
+    shared = many[:, 0] > 1
+    for offset, weight in zip((mid[:, None] + half[:, None] * x).ravel(),
+                              (half[:, None] * w).ravel()):
+        cdf, pdf = _unit_cdf_pdf(kind, offset + grid)
+        law_cdf = fft.irfft(kernels * fft.rfft(cdf, nfft), nfft)[gather]
+        law_pdf = fft.irfft(kernels * fft.rfft(pdf, nfft), nfft)[gather]
+        point_cdf, point_pdf = _unit_cdf_pdf(kind, y_period + offset + g[points][:, None])
+        # FFT rounding can leave F and f a few ulps below 0; F is kept
+        # positive so that h = f / F is finite. Where W underflows, every
+        # f_j prod_{i != j} F_i = h_j W is negligible: nodes stay off the
+        # kinks, so h is bounded.
+        cdf = np.maximum(np.vstack([law_cdf, point_cdf]), 1e-300)
+        hazard = np.maximum(np.vstack([law_pdf, point_pdf]), 0.0)
+        hazard /= cdf
+        joint = np.prod(cdf, axis=0)
+        if shared.any():
+            joint *= np.prod(cdf[shared] ** (many[shared] - 1), axis=0)
+        p[laws] += weight * (hazard @ joint)
+    return p
+
+
+def sample_pmf(pmf: np.ndarray, n: int, rng: RngStream) -> np.ndarray:
+    """n i.i.d. draws from a pmf, one uniform each through its inverse CDF.
+
+    A zero-probability entry adds nothing to cum, so no u lands on it.
+    """
+    cum = np.cumsum(pmf)
+    return np.minimum(np.searchsorted(cum, rng.uniform(n) * cum[-1], side="right"),
+                      pmf.size - 1)
 
 
 def log_gumbel_selection_pmf(scores: np.ndarray, epsilon: float) -> np.ndarray:

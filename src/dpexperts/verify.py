@@ -56,10 +56,14 @@ def check_exact_vs_mc(seed: int = 20240801, trials: int = 100_000) -> VerifyResu
     with the exact calculator within 3 stderr on random small cells, the noise
     family cycling Gumbel, Laplace, Exponential by cell.
 
-    Each loss is a one-atom FiniteSupport, so `sample_scores` gives every trial
-    its own score row and selection draws real noise; on point masses the rows
-    would be shared and sampled from the same `selection_pmf` the exact side
-    sums, and the check would compare that pmf with itself.
+    The Monte Carlo side is built from `selection_frequency` on one-atom
+    FiniteSupport losses, where `sample_scores` gives every trial its own
+    score row and selection draws real noise. `run_batch` would draw each
+    epoch's picks from the same `selection_pmf` the exact side sums, and the
+    check would compare that pmf with itself. With epoch r + 1 of length 2^r
+    playing the selection made after epoch r, the estimate is
+    mean(gaps) + sum_{r < R} 2^r (gaps . freq_r), and its stderr is
+    sqrt(sum_r 4^r var_r / trials) with var_r the variance of the picked gap.
     """
     rng = np.random.default_rng(seed)
     families = (NoiseKind.GUMBEL, NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL)
@@ -73,13 +77,19 @@ def check_exact_vs_mc(seed: int = 20240801, trials: int = 100_000) -> VerifyResu
         spec = MechanismSpec(resample=0, noise=families[i % 3], epsilon=eps)
         exact = math.fsum(exact_det_regret_epochs(means, spec, big_r))
         instance = make_instance([FiniteSupport(((m, 1.0),)) for m in means])
-        est = estimate_pseudoregret(instance, spec, (1 << big_r) - 1, trials, seed + i)
-        slack = 3.0 * max(est.stderr, 1e-12)
-        gap = abs(est.mean - exact)
+        gaps = instance.gaps
+        mean, var = float(gaps.mean()), 0.0
+        for r in range(1, big_r):
+            freq = selection_frequency(instance, spec, r, trials, seed + i)
+            picked = float(freq @ gaps)
+            mean += (1 << r) * picked
+            var += (1 << r) ** 2 * (float(freq @ gaps ** 2) - picked ** 2)
+        slack = 3.0 * max(math.sqrt(var / trials), 1e-12)
+        gap = abs(mean - exact)
         worst = max(worst, gap / slack)
         if gap > slack:
             failures.append(f"cell {i} ({spec.noise.value}): "
-                            f"|{est.mean:.4f} - {exact:.4f}| > {slack:.4f}")
+                            f"|{mean:.4f} - {exact:.4f}| > {slack:.4f}")
     detail = (f"{len(failures)} of 10 cells off, first {failures[0]}" if failures
               else f"10 cells, worst |diff|/3stderr = {worst:.2f}")
     return VerifyResult("exact-vs-mc", not failures, detail)

@@ -1,24 +1,36 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dpexperts import engine
-from dpexperts.core import Bernoulli, FiniteSupport, MechanismSpec, NoiseKind, PointMass
+from dpexperts import engine, harness
+from dpexperts.core import (
+    Bernoulli,
+    FiniteSupport,
+    MechanismSpec,
+    NoiseKind,
+    PointMass,
+    make_instance,
+)
 from dpexperts.engine import (
     InvalidHorizon,
     epoch_lengths,
+    epoch_selection_pmf,
     run_batch,
     run_rnm_ftnl,
     sample_scores,
 )
+from dpexperts.harness import selection_frequency
+from dpexperts.mechanism import rnm_pmf_oracle, select_batch
 from dpexperts.instances import (
     bernoulli_instance,
     deterministic_instance,
     paper_example_two_actions,
     parse_instance_spec,
 )
+from scipy import special, stats
 from dpexperts.noise import RngStream, derive_seed
 
 
@@ -146,6 +158,12 @@ class TestBatchAgreement:
         pytest.param("lower-bound:K=16,delta=0.1,l=3", 0, NoiseKind.LAPLACE, 0.5,
                      id="lower-bound-0-laplace-0.5"),
         pytest.param("grid:K=8", 0, NoiseKind.EXPONENTIAL, 1.0, id="grid-0-exponential-1.0"),
+        # Lattice scores: run_batch draws each epoch's picks from
+        # epoch_selection_pmf, the per-step engine sums real losses.
+        pytest.param("bern:0.3,0.5,0.6", 0, NoiseKind.EXPONENTIAL, 1.0,
+                     id="bern-0-exponential-1.0"),
+        pytest.param("grid:K=8", 1, NoiseKind.GUMBEL, 1.0, id="grid-1-gumbel-1.0"),
+        pytest.param("paper-example", 1, NoiseKind.NONE, 0.0, id="1-none-0.0"),
     ])
     def test_run_batch_matches_looped_engine(self, spec_text, resample, kind, eps):
         """The batched sampler is a distributional shortcut; its mean pseudoregret
@@ -170,17 +188,225 @@ class TestBatchAgreement:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind,eps", [(NoiseKind.LAPLACE, 1.0), (NoiseKind.NONE, 0.0)])
-    def test_mixed_instance_run_batch_unchanged(self, monkeypatch, kind, eps):
+    def test_mixed_instance_selection_frequency_unchanged(self, monkeypatch, kind, eps):
         # paper-example mixes a point mass with a two-atom loss, so at B = 0
         # its epochs take the mixed path of sample_scores.
         inst = paper_example_two_actions()
         spec = MechanismSpec(0, kind, epsilon=eps)
-        fast = run_batch(inst, spec, 1023, 2000, RngStream(31))
-        monkeypatch.setattr(engine, "sample_scores", _column_by_column_scores)
-        slow = run_batch(inst, spec, 1023, 2000, RngStream(31))
-        assert np.array_equal(fast, slow)
+        fast = [selection_frequency(inst, spec, r, 2000, 31) for r in (1, 5, 10)]
+        monkeypatch.setattr(harness, "sample_scores", _column_by_column_scores)
+        slow = [selection_frequency(inst, spec, r, 2000, 31) for r in (1, 5, 10)]
+        assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
 
     def test_run_batch_regret_nonnegative(self):
         inst = bernoulli_instance([0.1, 0.9])
         spec = MechanismSpec(1, NoiseKind.GUMBEL, epsilon=1.0)
         assert run_batch(inst, spec, 15, 500, RngStream(12)).min() >= 0.0
+
+
+def _spec(resample, kind, eps):
+    return MechanismSpec(resample, kind, epsilon=eps if kind is not NoiseKind.NONE else 0.0)
+
+
+def _enumerated_law(model, resample, length):
+    """[(score, probability)] of one action's epoch score, by enumeration."""
+    if resample or isinstance(model, Bernoulli):
+        mu = model.mean()
+        return [(float(c), math.comb(length, c) * mu ** c * (1 - mu) ** (length - c))
+                for c in range(length + 1)]
+    if isinstance(model, PointMass):
+        return [(length * model.value, 1.0)]
+    values = np.array([v for v, _ in model.atoms])
+    probs = [p for _, p in model.atoms]
+    law = []
+    for counts in itertools.product(range(length + 1), repeat=len(values)):
+        if sum(counts) == length:
+            ways = math.factorial(length) / math.prod(math.factorial(c) for c in counts)
+            law.append((float(np.array(counts) @ values),
+                        ways * math.prod(p ** c for p, c in zip(probs, counts))))
+    return law
+
+
+def _row_pmf(scores, spec):
+    """Selection pmf of one score row, apart from the lattice kernel: the
+    softmax, the closed-form Laplace/Exponential oracle, or the tie split."""
+    if spec.noise is NoiseKind.GUMBEL:
+        z = np.exp(-(scores - scores.min()) * spec.epsilon / 2.0)
+        return z / z.sum()
+    if spec.noise is NoiseKind.NONE:
+        ties = scores <= scores.min() + 1e-9 * (1.0 + abs(scores.min()))
+        return ties / ties.sum()
+    return rnm_pmf_oracle(scores, spec)
+
+
+def _brute_force_pmf(inst, spec, length):
+    laws = [_enumerated_law(m, spec.resample, length) for m in inst.models]
+    pmf = np.zeros(inst.k)
+    for combo in itertools.product(*laws):
+        pmf += math.prod(p for _, p in combo) * _row_pmf(np.array([s for s, _ in combo]), spec)
+    return pmf
+
+
+BRUTE_INSTANCES = {
+    # A point mass at 0.3 L against 0.4 Binomial(L, 0.8): at B = 0 a point
+    # off the lattice, with exact ties (L = 4: 1.2 against 3 x 0.4).
+    "paper": paper_example_two_actions(),
+    "bern": bernoulli_instance([0.2, 0.5, 0.8]),
+    # A point, a repeated Binomial law, and a two-atom {0, 1} loss on the
+    # same lattice.
+    "mixed": make_instance([PointMass(0.3), Bernoulli(0.4), Bernoulli(0.4),
+                            FiniteSupport(((0.0, 0.5), (1.0, 0.5)))]),
+}
+
+
+class TestEpochSelectionPmf:
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("resample", [0, 1])
+    @pytest.mark.parametrize("name", sorted(BRUTE_INSTANCES))
+    def test_matches_brute_force_enumeration(self, name, resample, kind):
+        # eps = 16 makes the lattice step 8 noise scales, so each period
+        # holds 8 panels; eps = 0.25 makes it 1/8 of a scale.
+        inst = BRUTE_INSTANCES[name]
+        for eps in ((0.25, 1.0, 4.0, 16.0) if kind is not NoiseKind.NONE else (0.0,)):
+            spec = _spec(resample, kind, eps)
+            for length in (1, 3, 4, 6):
+                # (L + 1)^4 = 2401 rows of the closed-form oracle would cost
+                # seconds; "mixed" at B = 1 stops at L = 4.
+                if (length + 1) ** (inst.k if resample else 0) > 1000:
+                    continue
+                got = epoch_selection_pmf(inst, spec, length)
+                expected = _brute_force_pmf(inst, spec, length)
+                assert np.abs(got - expected).max() <= 1e-13, (eps, length)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("spec_text,resample", [
+        ("bern:0.4,0.5", 1), ("paper-example", 0), ("paper-example", 1)])
+    def test_two_action_reference_at_large_length(self, spec_text, resample, kind):
+        # P(action 1) = sum_d P(S_1 - S_0 = d) P(Q_1 - Q_0 > d) at L = 2^18,
+        # from scipy's binomial pmf and the closed-form two-action tails.
+        inst = parse_instance_spec(spec_text)
+        spec = _spec(resample, kind, 1.0)
+        length = 1 << 18
+        count = np.arange(length + 1)
+        if resample:
+            d_pmfs = [stats.binom.pmf(count, length, m) for m in inst.means]
+            keep = [p > 1e-40 for p in d_pmfs]
+            lows = [int(np.argmax(k)) for k in keep]
+            pmf0, pmf1 = (p[k] for p, k in zip(d_pmfs, keep))
+            diff = lows[1] - (lows[0] + pmf0.size - 1) + np.arange(pmf0.size + pmf1.size - 1)
+            weight = np.convolve(pmf1, pmf0[::-1])
+        elif spec_text == "paper-example":
+            # Action 1 scores 0.4 x Binomial(L, 0.8); action 0 is the point 0.3 L.
+            weight = stats.binom.pmf(count, length, 0.8)
+            diff = 0.4 * count - 0.3 * length
+        beta = spec.scale()
+        if kind is NoiseKind.GUMBEL:
+            pick = special.expit(-diff / beta)
+        elif kind is NoiseKind.NONE:
+            tie = np.abs(diff) <= 1e-9 * length
+            pick = np.where(tie, 0.5, np.where(diff < 0, 1.0, 0.0))
+        else:
+            a = np.abs(diff) / beta
+            tail = 0.5 * np.exp(-a) * ((1.0 + 0.5 * a) if kind is NoiseKind.LAPLACE else 1.0)
+            pick = np.where(diff >= 0, tail, 1.0 - tail)
+        expected = math.fsum(weight * pick)
+        got = epoch_selection_pmf(inst, spec, length)
+        assert abs(got[1] - expected) <= 1e-12
+        assert abs(got.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("spec_text,resample", [
+        ("grid:K=8", 1), ("paper-example", 0), ("bern:0.2,0.5,0.8", 0)])
+    def test_picks_match_selection_frequency(self, spec_text, resample, kind):
+        # selection_frequency samples real scores and real noise on distinct
+        # rows; every action's frequency lies within 4 sigma of the pmf.
+        inst = parse_instance_spec(spec_text)
+        spec = _spec(resample, kind, 1.0)
+        trials = 20_000
+        for r in (3, 6):
+            pmf = epoch_selection_pmf(inst, spec, 1 << (r - 1))
+            freq = selection_frequency(inst, spec, r, trials, 77)
+            sigma = np.sqrt(pmf * (1.0 - pmf) / trials)
+            assert np.all(np.abs(freq - pmf) <= 4.0 * sigma + 1e-12), (r, freq, pmf)
+
+    def test_point_masses_select_from_the_shared_row(self):
+        # Every action a point mass at B = 0: run_batch draws the uniforms the
+        # shared-row branch of select_batch draws, so its stream is the one of
+        # select_batch on the broadcast score row.
+        inst = parse_instance_spec("lower-bound:K=16,delta=0.1,l=3")
+        for kind in NoiseKind:
+            spec = _spec(0, kind, 0.5)
+            rng = RngStream(5)
+            actions = np.minimum((rng.uniform(300) * inst.k).astype(int), inst.k - 1)
+            regret = np.zeros(300)
+            lengths = epoch_lengths(1023)
+            for r, length in enumerate(lengths, start=1):
+                regret += length * inst.gaps[actions]
+                if r < len(lengths):
+                    row = np.broadcast_to(length * inst.means, (300, inst.k))
+                    actions = select_batch(row, spec, rng)
+            assert np.array_equal(run_batch(inst, spec, 1023, 300, RngStream(5)), regret)
+
+    def test_three_atom_support_takes_the_sampling_fallback(self):
+        inst = make_instance([FiniteSupport(((0.0, 0.3), (0.5, 0.3), (1.0, 0.4))),
+                              Bernoulli(0.5)])
+        spec = MechanismSpec(0, NoiseKind.LAPLACE, epsilon=1.0)
+        assert epoch_selection_pmf(inst, spec, 4) is None
+        rng = RngStream(6)
+        actions = np.minimum((rng.uniform(500) * 2).astype(int), 1)
+        regret = np.zeros(500)
+        lengths = epoch_lengths(63)
+        for r, length in enumerate(lengths, start=1):
+            regret += length * inst.gaps[actions]
+            if r < len(lengths):
+                actions = select_batch(sample_scores(inst, 0, length, 500, rng), spec, rng)
+        assert np.array_equal(run_batch(inst, spec, 63, 500, RngStream(6)), regret)
+
+    def test_mixed_steps_and_offsets_take_the_fallback(self):
+        spec = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=1.0)
+        steps = make_instance([FiniteSupport(((0.0, 0.5), (0.4, 0.5))), Bernoulli(0.3)])
+        assert epoch_selection_pmf(steps, spec, 8) is None
+        # Steps 0.4, offsets 0.1 L and 0.3 L: one lattice only when L is even.
+        offsets = make_instance([FiniteSupport(((0.1, 0.5), (0.5, 0.5))),
+                                 FiniteSupport(((0.3, 0.5), (0.7, 0.5)))])
+        assert epoch_selection_pmf(offsets, spec, 3) is None
+        assert epoch_selection_pmf(offsets, spec, 4) is not None
+
+    def test_noise_many_steps_wide_takes_the_fallback(self):
+        # 64 overlapping laws under noise 200 lattice steps wide: the window
+        # times the laws exceeds PMF_MAX_VALUES.
+        inst = bernoulli_instance(0.5 + 0.001 * np.arange(64))
+        assert epoch_selection_pmf(inst, MechanismSpec(1, NoiseKind.LAPLACE, epsilon=0.01),
+                                   8) is None
+        assert epoch_selection_pmf(inst, MechanismSpec(1, NoiseKind.LAPLACE, epsilon=1.0),
+                                   8) is not None
+
+    def test_identical_laws_are_grouped_without_cost_in_k(self):
+        # 299 actions share one Binomial law: the kernel integrates two laws,
+        # and the shared one's probability is split evenly.
+        inst = parse_instance_spec("worst-np:K=300,delta=0.01")
+        pmf = epoch_selection_pmf(inst, MechanismSpec(1, NoiseKind.LAPLACE, epsilon=1.0),
+                                  1 << 12)
+        assert np.all(pmf[1:] == pmf[1]) and pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        assert pmf[0] > pmf[1]
+
+
+class TestBinomialPmf:
+    @pytest.mark.parametrize("n,p", [(6, 0.01), (1000, 0.2), (1 << 18, 0.4), (1 << 20, 1e-5),
+                                     (1 << 29, 0.37)])
+    def test_matches_scipy_and_cuts_at_70(self, n, p):
+        low, pmf = engine._binomial_pmf(n, p)
+        expected = stats.binom.pmf(np.arange(low, low + pmf.size), n, p)
+        assert np.abs(pmf - expected).max() <= 1e-15
+        peak = expected.max()
+        # Every kept count is within e^70 of the mode, and its neighbours
+        # outside the cut are not.
+        assert np.log(expected.min() / peak) >= -70.0 - 1e-6
+        for outside in (low - 1, low + pmf.size):
+            if 0 <= outside <= n:
+                assert stats.binom.pmf(outside, n, p) < math.exp(-70.0) * peak
+
+    def test_degenerate_means_are_points(self):
+        assert engine._binomial_pmf(9, 0.0)[0] == 0
+        assert engine._binomial_pmf(9, 1.0)[0] == 9
+        assert engine._binomial_pmf(9, 1.0)[1].tolist() == [1.0]
