@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -45,11 +45,17 @@ def epoch_lengths(horizon: int) -> List[int]:
 
 
 def _sample_epoch_losses(instance: Instance, length: int, rng: RngStream) -> np.ndarray:
-    """(length, K) loss matrix; one uniform per coordinate through each model's inverse CDF."""
+    """(length, K) loss matrix; one uniform per coordinate through each model's
+    inverse CDF: point-mass columns in one assignment, Bernoulli columns in one
+    u < p comparison, finite supports through `model.sample`."""
     u = rng.uniform((length, instance.k))
     losses = np.empty_like(u)
-    for j, model in enumerate(instance.models):
-        losses[:, j] = model.sample(u[:, j])
+    point = np.array([isinstance(m, PointMass) for m in instance.models])
+    coin = np.array([isinstance(m, Bernoulli) for m in instance.models])
+    losses[:, point] = instance.means[point]
+    losses[:, coin] = u[:, coin] < instance.means[coin]
+    for j in np.flatnonzero(~(point | coin)):
+        losses[:, j] = instance.models[j].sample(u[:, j])
     return losses
 
 
@@ -263,8 +269,17 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     return pmf
 
 
+def epoch_pmfs(instance: Instance, spec: MechanismSpec, horizon: int) -> list:
+    """`epoch_selection_pmf` of every epoch of the horizon but the last,
+    whose selection is never played: lengths 1, 2, 4, ... Every horizon's
+    non-final epochs have these lengths, so the list for the largest horizon
+    serves every smaller one."""
+    return [epoch_selection_pmf(instance, spec, length)
+            for length in epoch_lengths(horizon)[:-1]]
+
+
 def run_batch(instance: Instance, spec: MechanismSpec, horizon: int, trials: int,
-              rng: RngStream) -> np.ndarray:
+              rng: RngStream, pmfs: Optional[Sequence] = None) -> np.ndarray:
     """Per-trial pseudoregret for `trials` independent trajectories.
 
     Scores never depend on the actions played (full information), so the
@@ -272,7 +287,8 @@ def run_batch(instance: Instance, spec: MechanismSpec, horizon: int, trials: int
     per-epoch selections are independent across epochs. Each epoch's picks
     are drawn from its exact selection pmf, `epoch_selection_pmf`, one
     uniform per trial, so the per-trial regret has the distribution of
-    looping `run_rnm_ftnl` (checked against it in the test suite).
+    looping `run_rnm_ftnl` (checked against it in the test suite). `pmfs`,
+    `epoch_pmfs` of this or a larger horizon, saves recomputing them.
 
     Fallback: where `epoch_selection_pmf` returns None (scores on no single
     lattice, or an integration window over PMF_MAX_VALUES), the epoch
@@ -280,6 +296,8 @@ def run_batch(instance: Instance, spec: MechanismSpec, horizon: int, trials: int
     `select_batch`.
     """
     lengths = epoch_lengths(horizon)
+    if pmfs is None:
+        pmfs = epoch_pmfs(instance, spec, horizon)
     gaps = instance.gaps
     k = instance.k
     regret = np.zeros(trials)
@@ -287,7 +305,7 @@ def run_batch(instance: Instance, spec: MechanismSpec, horizon: int, trials: int
     for r, length in enumerate(lengths, start=1):
         regret += length * gaps[actions]
         if r < len(lengths):
-            pmf = epoch_selection_pmf(instance, spec, length)
+            pmf = pmfs[r - 1]
             if pmf is None:
                 scores = sample_scores(instance, spec.resample, length, trials, rng)
                 actions = select_batch(scores, spec, rng)

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Instance, MechanismSpec, RegretEstimate
-from .engine import run_batch, sample_scores
+from .engine import epoch_pmfs, run_batch, sample_scores
 from .mechanism import select_batch
 from .noise import RngStream, derive_seed
 
@@ -34,12 +34,14 @@ class SweepCell:
 
 
 def estimate_pseudoregret(instance: Instance, spec: MechanismSpec, horizon: int,
-                          trials: int, base_seed: int) -> RegretEstimate:
-    """Mean and stderr of the pseudoregret over independent trajectories."""
+                          trials: int, base_seed: int,
+                          pmfs: Optional[Sequence] = None) -> RegretEstimate:
+    """Mean and stderr of the pseudoregret over independent trajectories;
+    `pmfs` is as in `run_batch`."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = RngStream(derive_seed(base_seed, 0))
-    regrets = run_batch(instance, spec, horizon, trials, rng)
+    regrets = run_batch(instance, spec, horizon, trials, rng, pmfs=pmfs)
     stderr = float(regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return RegretEstimate(mean=float(regrets.mean()), stderr=stderr, trials=trials)
 
@@ -75,29 +77,34 @@ def sweep(instances: Sequence[Tuple[str, Instance]], specs: Sequence[MechanismSp
     """Evaluate every instance x spec x horizon cell, in deterministic order.
 
     Cells draw from per-cell derived seeds, so parallel and sequential execution
-    produce identical results. Worker count defaults to DPEXPERTS_THREADS (1 if
-    unset).
+    produce identical results. Each (instance, spec) pair computes its epoch
+    pmfs once, for the largest horizon, and every horizon's cell samples from
+    them. Pairs run in parallel; worker count defaults to DPEXPERTS_THREADS
+    (1 if unset).
     """
-    grid = [
-        (label, instance, spec, horizon)
-        for label, instance in instances
-        for spec in specs
-        for horizon in horizons
-    ]
+    pairs = [(label, instance, spec) for label, instance in instances for spec in specs]
+    longest = max(horizons, default=1)
     if max_workers is None:
         max_workers = default_workers()
 
-    def evaluate(idx_cell):
-        idx, (label, instance, spec, horizon) = idx_cell
-        seed = derive_seed(base_seed, idx)
-        estimate = estimate_pseudoregret(instance, spec, horizon, trials, seed)
-        return SweepCell(run_id=idx, label=label, instance=instance, spec=spec,
-                         horizon=horizon, trials=trials, estimate=estimate, seed=seed)
+    def evaluate(idx_pair):
+        idx, (label, instance, spec) = idx_pair
+        pmfs = epoch_pmfs(instance, spec, longest)
+        cells = []
+        for run_id, horizon in enumerate(horizons, start=idx * len(horizons)):
+            seed = derive_seed(base_seed, run_id)
+            estimate = estimate_pseudoregret(instance, spec, horizon, trials, seed, pmfs=pmfs)
+            cells.append(SweepCell(run_id=run_id, label=label, instance=instance, spec=spec,
+                                   horizon=horizon, trials=trials, estimate=estimate,
+                                   seed=seed))
+        return cells
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(evaluate, enumerate(grid)))
-    return [evaluate(item) for item in enumerate(grid)]
+            done = list(pool.map(evaluate, enumerate(pairs)))
+    else:
+        done = [evaluate(item) for item in enumerate(pairs)]
+    return [cell for cells in done for cell in cells]
 
 
 def cells_to_csv(cells: Sequence[SweepCell]) -> str:

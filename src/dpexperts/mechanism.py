@@ -317,13 +317,23 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     lowest scores g (top of support min 0) and lattice step h.
 
     A lattice law's F_Y(y) = sum_k pmf[k] F(y + g + h k) is the pmf
-    correlated with F sampled on a grid of spacing h, so nodes that repeat
-    with period h take F_Y and f_Y at every period from one FFT convolution
-    per in-period node offset. The period is anchored at a lattice kink and
-    split into panels at most min(h, 1) wide and at each point's kink, so
-    every Laplace or Exponential kink is a panel edge; points are evaluated
-    directly. The offsets are looped, so memory stays (laws x periods).
-    With W = prod_i F_{Y_i}^copies_i, p_j = int h_j W for h = f_Y / F_Y.
+    correlated with F sampled on a grid of spacing h. The period is anchored
+    at a lattice kink and split into panels at most min(h, 1) wide and at
+    each point's kink, so every Laplace or Exponential kink is a panel edge;
+    points are evaluated directly. With W = prod_i F_{Y_i}^copies_i,
+    p_j = int h_j W for h = f_Y / F_Y, summed over the in-period node
+    offsets o; memory stays (laws x periods) per offset.
+
+    Every lattice term's argument is z = o + h n with n an integer and
+    0 < o < h, so n >= 0 exactly where z >= 0. Laplace and Exponential F is
+    1 + a e^-z above 0 and b e^z below (`_PIECES`), and f = F', so at
+    offset o F_Y = T + a e^-o U + b e^(o - h) D and
+    f_Y = -a e^-o U + b e^(o - h) D, from three correlations that do not
+    depend on o: T = sum_{n >= 0} pmf, U = sum_{n >= 0} pmf e^(-h n) and
+    D = sum_{n < 0} pmf e^(h (n + 1)) (Exponential has b = 0 and skips D).
+    Every factor is at most 1, so nothing overflows at any h. Gumbel's F
+    does not separate, so it takes one FFT convolution of F and one of f
+    per offset.
 
     A law's floor t is its lowest support value with more than
     e^-PRUNE_SCALES of mass at or below it. A law with t > PRUNE_SCALES gets
@@ -368,27 +378,53 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
         reversed_pmfs[row, :span[row]] = pmfs[i][::-1]
     fft = np.fft
     kernels = fft.rfft(reversed_pmfs)
+
+    def correlate(sequence):
+        """(laws, periods): each law's pmf correlated with a grid sequence."""
+        return fft.irfft(kernels * fft.rfft(sequence, nfft), nfft)[gather]
+
+    n = base + np.arange(count)
+    if kind is not NoiseKind.GUMBEL:
+        # mass, upper and lower are the docstring's T, U and D.
+        (_, b, _), (_, a, _) = _PIECES[kind]["cdf"]
+        ahead = n >= 0
+        mass = correlate(ahead.astype(float))
+        upper = correlate(np.where(ahead, np.exp(-h * np.maximum(n, 0)), 0.0))
+        if b:
+            lower = correlate(np.where(ahead, 0.0, np.exp(h * np.minimum(n + 1, 0))))
     edges = np.union1d(np.linspace(0.0, h, math.ceil(h) + 1), np.mod(-g[points] - anchor, h))
     mid = (edges[1:] + edges[:-1]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
     x, w = _gauss_legendre()
-    grid = h * (base + np.arange(count))
     y_period = anchor + h * (first + np.arange(periods))
     laws = np.concatenate([lattice, points])
     many = copies[laws][:, None]
     shared = many[:, 0] > 1
+    cdf = np.empty((laws.size, periods))
+    hazard = np.empty((laws.size, periods))
     for offset, weight in zip((mid[:, None] + half[:, None] * x).ravel(),
                               (half[:, None] * w).ravel()):
-        cdf, pdf = _unit_cdf_pdf(kind, offset + grid)
-        law_cdf = fft.irfft(kernels * fft.rfft(cdf, nfft), nfft)[gather]
-        law_pdf = fft.irfft(kernels * fft.rfft(pdf, nfft), nfft)[gather]
-        point_cdf, point_pdf = _unit_cdf_pdf(kind, y_period + offset + g[points][:, None])
+        if kind is NoiseKind.GUMBEL:
+            grid_cdf, grid_pdf = _unit_cdf_pdf(kind, offset + h * n)
+            cdf[:lattice.size] = correlate(grid_cdf)
+            hazard[:lattice.size] = correlate(grid_pdf)
+        else:
+            up = upper * (a * math.exp(-offset))
+            np.add(mass, up, out=cdf[:lattice.size])
+            np.negative(up, out=hazard[:lattice.size])
+            if b:
+                down = lower * (b * math.exp(offset - h))
+                cdf[:lattice.size] += down
+                hazard[:lattice.size] += down
+        if points.size:
+            cdf[lattice.size:], hazard[lattice.size:] = _unit_cdf_pdf(
+                kind, y_period + offset + g[points][:, None])
         # FFT rounding can leave F and f a few ulps below 0; F is kept
         # positive so that h = f / F is finite. Where W underflows, every
         # f_j prod_{i != j} F_i = h_j W is negligible: nodes stay off the
         # kinks, so h is bounded.
-        cdf = np.maximum(np.vstack([law_cdf, point_cdf]), 1e-300)
-        hazard = np.maximum(np.vstack([law_pdf, point_pdf]), 0.0)
+        np.maximum(cdf, 1e-300, out=cdf)
+        np.maximum(hazard, 0.0, out=hazard)
         hazard /= cdf
         joint = np.prod(cdf, axis=0)
         if shared.any():

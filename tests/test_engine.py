@@ -128,6 +128,18 @@ class TestScoreSampling:
         assert rng_a.generator.bit_generator.state == rng_b.generator.bit_generator.state
 
 
+    def test_epoch_losses_match_per_model_sampling(self):
+        # A point mass, Bernoulli columns and a finite support, interleaved.
+        inst = make_instance([Bernoulli(0.3), PointMass(0.25), FiniteSupport(((0.0, 0.5), (1.0, 0.5))),
+                              Bernoulli(0.0), PointMass(1.0), Bernoulli(1.0)])
+        rng_a, rng_b = RngStream(6), RngStream(6)
+        fast = engine._sample_epoch_losses(inst, 256, rng_a)
+        u = rng_b.uniform((256, inst.k))
+        slow = np.column_stack([m.sample(u[:, j]) for j, m in enumerate(inst.models)])
+        assert np.array_equal(fast, slow)
+        assert rng_a.generator.bit_generator.state == rng_b.generator.bit_generator.state
+
+
 def _column_by_column_scores(instance, resample, length, trials, rng):
     """sample_scores with every column filled in its own step, point masses too."""
     gen = rng.generator
@@ -265,9 +277,10 @@ class TestEpochSelectionPmf:
     @pytest.mark.parametrize("name", sorted(BRUTE_INSTANCES))
     def test_matches_brute_force_enumeration(self, name, resample, kind):
         # eps = 16 makes the lattice step 8 noise scales, so each period
-        # holds 8 panels; eps = 0.25 makes it 1/8 of a scale.
+        # holds 8 panels; eps = 0.25 makes it 1/8 of a scale; eps = 3 makes
+        # it 1.5 scales, two uneven panels once a point's kink splits them.
         inst = BRUTE_INSTANCES[name]
-        for eps in ((0.25, 1.0, 4.0, 16.0) if kind is not NoiseKind.NONE else (0.0,)):
+        for eps in ((0.25, 1.0, 3.0, 4.0, 16.0) if kind is not NoiseKind.NONE else (0.0,)):
             spec = _spec(resample, kind, eps)
             for length in (1, 3, 4, 6):
                 # (L + 1)^4 = 2401 rows of the closed-form oracle would cost

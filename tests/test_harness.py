@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dpexperts import engine
 from dpexperts.core import MechanismSpec, NoiseKind
 from dpexperts.harness import (
     CSV_HEADER,
@@ -69,11 +70,11 @@ class TestSelectionFrequency:
 
 
 class TestSweep:
-    def _cells(self, **kwargs):
+    def _cells(self, horizons=(15, 31), **kwargs):
         instances = [("a", bernoulli_instance([0.2, 0.6])),
                      ("b", deterministic_instance([0.0, 0.5]))]
         specs = [MechanismSpec(0, NoiseKind.GUMBEL, epsilon=e) for e in (0.5, 1.0)]
-        return sweep(instances, specs, [15, 31], trials=200, base_seed=77, **kwargs)
+        return sweep(instances, specs, list(horizons), trials=200, base_seed=77, **kwargs)
 
     def test_grid_order_and_ids(self):
         cells = self._cells()
@@ -85,6 +86,25 @@ class TestSweep:
         seq = self._cells(max_workers=1)
         par = self._cells(max_workers=4)
         assert [(c.run_id, c.estimate) for c in seq] == [(c.run_id, c.estimate) for c in par]
+
+    def test_epoch_pmfs_computed_once_per_length(self, monkeypatch):
+        calls = []
+        real = engine.epoch_selection_pmf
+
+        def counted(instance, spec, length):
+            calls.append((spec.epsilon, length))
+            return real(instance, spec, length)
+
+        horizons = [1, 6, 63, 1023]
+        monkeypatch.setattr(engine, "epoch_selection_pmf", counted)
+        cells = self._cells(horizons=horizons)
+        # Two instances x two specs, each with the non-final lengths of T = 1023.
+        lengths = [1 << r for r in range(9)]
+        assert sorted(calls) == sorted(2 * [(e, n) for e in (0.5, 1.0) for n in lengths])
+        alone = [estimate_pseudoregret(c.instance, c.spec, c.horizon, c.trials, c.seed)
+                 for c in cells]
+        assert [c.estimate for c in cells] == alone
+        assert [c.horizon for c in cells[:4]] == horizons
 
     def test_env_var_controls_default_workers(self, monkeypatch):
         monkeypatch.setenv("DPEXPERTS_THREADS", "3")
