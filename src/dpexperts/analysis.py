@@ -1,6 +1,7 @@
-"""Exact calculators and numeric verifiers for the deterministic-setting results
-and the directly evaluable bounds (binomial CDF monotonicity, softmax-function
-derivative and series bounds, selection tail bounds, privacy ratios)."""
+"""The exact regret calculator, from the epoch selection pmfs of every instance
+the sampler knows, and numeric verifiers for the directly evaluable bounds
+(exact binomial CDFs, softmax-function derivative and series bounds, selection
+tail bounds, privacy ratios)."""
 from __future__ import annotations
 
 import math
@@ -10,16 +11,13 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .core import MechanismSpec, NoiseKind, OutOfRange
-from .mechanism import log_gumbel_selection_pmf, selection_pmf
+from .core import Instance, MechanismSpec, NoiseKind, OutOfRange
+from .engine import epoch_lengths, epoch_pmfs
+from .mechanism import log_gumbel_selection_pmf
 
 # Testable constant for the partial-sum bound: sum_{r>=1} f(r) <= (1 + ln 2) *
 # integral_0^inf f, and the integral telescopes to at most (ln K) / ln 2.
 PARTIAL_SUM_CONSTANT = (1.0 + math.log(2.0)) / math.log(2.0)
-
-# The exact calculators' largest epoch count: epoch R has length 2^{R-1}, a
-# finite float only up to R = 1024.
-MAX_EPOCHS = 1024
 
 
 class AdjacencyViolation(ValueError):
@@ -89,50 +87,26 @@ def partial_sum_f(spec: SoftmaxSpec, big_r: int) -> float:
     return math.fsum(softmax_f(spec, r) for r in range(1, big_r + 1))
 
 
-def exact_det_regret_epochs(means, spec: MechanismSpec, big_r: int) -> List[float]:
-    """Per-epoch expected pseudoregret of the no-resampling variant on a
-    deterministic instance, horizon T = 2^R - 1, under any noise kind.
+def exact_regret_epochs(instance: Instance, spec: MechanismSpec, horizon: int) -> List[float]:
+    """Per-epoch expected pseudoregret at horizon T, exactly, for any instance
+    whose epoch pmfs `engine.epoch_pmfs` can build.
 
-    Epoch 1 is the uniform initial action; the selection entering epoch r >= 2
-    has the exact pmf `selection_pmf` of the scores 2^{r-2} * mu accumulated
-    over epoch r - 1. No sampling anywhere. R is at most MAX_EPOCHS, beyond
-    which the epoch length 2^{R-1} overflows a float.
+    Epoch 1 plays the uniform initial action, L_1 mean(gaps). Epoch r + 1
+    plays the selection made after epoch r, whose pmf is that epoch's
+    `epoch_selection_pmf`: L_{r+1} (pmf_r . gaps). Losses are full
+    information, so no epoch's pmf depends on the actions played. Raises
+    OutOfRange naming the first epoch whose pmf is None.
     """
-    if not 1 <= big_r <= MAX_EPOCHS:
-        raise OutOfRange(f"R must be between 1 and {MAX_EPOCHS}, got {big_r}")
-    mu = np.asarray(means, dtype=float)
-    gaps = mu - mu.min()
-    contributions = [float(gaps.sum() / gaps.size)]
-    for r in range(2, big_r + 1):
-        p = selection_pmf((2.0 ** (r - 2)) * gaps, spec)
-        contributions.append(float((2.0 ** (r - 1)) * (gaps * p).sum()))
+    lengths = epoch_lengths(horizon)
+    gaps = instance.gaps
+    contributions = [lengths[0] * float(gaps.mean())]
+    for r, (pmf, length) in enumerate(zip(epoch_pmfs(instance, spec, horizon), lengths[1:]),
+                                      start=1):
+        if pmf is None:
+            raise OutOfRange(f"epoch {r} has no exact selection pmf: its scores share no "
+                             "single lattice, or its integration window is too wide")
+        contributions.append(length * float((gaps * pmf).sum()))
     return contributions
-
-
-def exact_det_gumbel_regret(means, epsilon: float, big_r: int) -> float:
-    spec = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=epsilon)
-    return math.fsum(exact_det_regret_epochs(means, spec, big_r))
-
-
-def binomial_cdf(k: int, n: int, p: float) -> float:
-    """P[X <= k] for X ~ Binomial(n, p), summed stably in log space."""
-    if not (0 <= k <= n):
-        raise OutOfRange(f"need 0 <= k <= n, got k={k}, n={n}")
-    if not (0.0 <= p <= 1.0):
-        raise OutOfRange(f"p must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    logp, logq = math.log(p), math.log1p(-p)
-    terms = [
-        math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-        + i * logp + (n - i) * logq
-        for i in range(k + 1)
-    ]
-    terms = np.array(terms)
-    top = terms.max()
-    return float(min(1.0, math.exp(top + math.log(np.exp(terms - top).sum()))))
 
 
 def exact_binomial_cdfs(n: int, p: Fraction) -> List[Fraction]:

@@ -11,10 +11,11 @@ import math
 import sys
 from typing import List, Optional
 
-from .analysis import MAX_EPOCHS, exact_det_regret_epochs
+from .analysis import exact_regret_epochs
 from .core import MechanismSpec, NoiseKind, OutOfRange
+from .engine import InvalidHorizon, epoch_lengths
 from .harness import default_workers, sweep, write_csv
-from .instances import InstanceSpecError, parse_instance_spec, uniform_grid_instance
+from .instances import InstanceSpecError, parse_instance_spec
 from .svg import line_chart
 from .verify import SUITES, run_suites
 
@@ -48,32 +49,48 @@ def _positive(value: float, option: str) -> float:
 
 
 def _ints(text: str, option: str) -> List[int]:
-    vals = _floats(text, option)
-    bad = [v for v in vals if not v.is_integer()]
-    if bad:
-        raise _UsageError(f"{option}: {bad[0]:g} is not an integer")
-    return [int(v) for v in vals]
+    # int() of each decimal; a float would round values from 2^53 on.
+    try:
+        vals = [int(v) for v in text.split(",") if v != ""]
+    except ValueError as exc:
+        raise _UsageError(f"{option}: bad integer list {text!r}") from exc
+    if not vals:
+        raise _UsageError(f"{option}: empty integer list {text!r}")
+    return vals
+
+
+def _horizon(t: int) -> int:
+    try:
+        epoch_lengths(t)
+    except InvalidHorizon as exc:
+        raise _UsageError(f"--T: {exc}") from exc
+    return t
+
+
+def _instances(args: argparse.Namespace) -> list:
+    try:
+        return [(spec, parse_instance_spec(spec)) for spec in args.instance]
+    except InstanceSpecError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _mechanism_specs(args: argparse.Namespace, epsilons: List[float]) -> List[MechanismSpec]:
+    noise = NoiseKind(args.noise)
+    if noise is NoiseKind.NONE:
+        return [MechanismSpec(resample=args.B, noise=noise)]
+    try:
+        return [MechanismSpec(resample=args.B, noise=noise, epsilon=_positive(eps, "--eps"))
+                for eps in epsilons]
+    except OutOfRange as exc:
+        raise _UsageError(f"--eps: {exc}") from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
-    try:
-        instances = [(spec, parse_instance_spec(spec)) for spec in args.instance]
-    except InstanceSpecError as exc:
-        raise _UsageError(str(exc)) from exc
-    noise = NoiseKind(args.noise)
-    if noise is NoiseKind.NONE:
-        specs = [MechanismSpec(resample=args.B, noise=noise)]
-    else:
-        try:
-            specs = [MechanismSpec(resample=args.B, noise=noise, epsilon=_positive(eps, "--eps"))
-                     for eps in _floats(args.eps, "--eps")]
-        except OutOfRange as exc:
-            raise _UsageError(f"--eps: {exc}") from exc
-    horizons = _ints(args.T, "--T")
-    if any(t < 1 for t in horizons):
-        raise _UsageError("every horizon must be >= 1")
+    instances = _instances(args)
+    specs = _mechanism_specs(args, _floats(args.eps, "--eps"))
+    horizons = [_horizon(t) for t in _ints(args.T, "--T")]
     try:
         workers = default_workers()
     except ValueError as exc:
@@ -88,36 +105,24 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    if args.means is not None:
-        means = _floats(args.means, "--means")
-    elif args.K is not None:
-        if args.K < 2:
-            raise _UsageError("--K must be >= 2")
-        means = list(uniform_grid_instance(args.K).means)
-    else:
-        raise _UsageError("provide --means or --K")
-    noise = NoiseKind(args.noise)
-    if noise is NoiseKind.NONE:
-        spec = MechanismSpec(0, noise)
-        setting = f"R={args.R}"
-    else:
+    instances = _instances(args)
+    spec = _mechanism_specs(args, [args.eps])[0]
+    horizon = _horizon(args.T)
+    setting = f"B={spec.resample}, T={horizon}, noise={spec.noise.value}"
+    if spec.noise is not NoiseKind.NONE:
+        setting += f", eps={spec.epsilon:g}"
+    for label, instance in instances:
         try:
-            spec = MechanismSpec(0, noise, epsilon=_positive(args.eps, "--eps"))
+            contributions = exact_regret_epochs(instance, spec, horizon)
         except OutOfRange as exc:
-            raise _UsageError(f"--eps: {exc}") from exc
-        setting = f"R={args.R}, eps={args.eps:g}"
-    if noise is not NoiseKind.GUMBEL:
-        setting += f", noise={noise.value}"
-    if not 1 <= args.R <= MAX_EPOCHS:
-        raise _UsageError(f"--R must be between 1 and {MAX_EPOCHS}, got {args.R}")
-    contributions = exact_det_regret_epochs(means, spec, args.R)
-    total = 0.0
-    print(f"{'epoch':>6} {'contribution':>16} {'cumulative':>16}")
-    for r, c in enumerate(contributions, start=1):
-        total += c
-        print(f"{r:>6} {c:>16.10f} {total:>16.10f}")
-    print(f"exact pseudoregret ({setting}): {total:.10f}")
-    print(f"final epoch contribution: {contributions[-1]:.3e}")
+            raise _UsageError(f"{label}: {exc}") from exc
+        total = 0.0
+        print(f"{'epoch':>6} {'contribution':>16} {'cumulative':>16}")
+        for r, c in enumerate(contributions, start=1):
+            total += c
+            print(f"{r:>6} {c:>16.10f} {total:>16.10f}")
+        print(f"exact pseudoregret ({label}, {setting}): {total:.10f}")
+        print(f"final epoch contribution: {contributions[-1]:.3e}")
     return EXIT_OK
 
 
@@ -170,13 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a sweep and emit CSV")
-    p_run.add_argument("--instance", action="append", required=True,
+    def add_setting_arguments(p):
+        p.add_argument("--instance", action="append", required=True,
                        help='instance spec, e.g. "det:0,1" or "lower-bound:K=16,delta=0.1,l=3"')
-    p_run.add_argument("--B", type=int, default=0, choices=(0, 1),
-                       help="resampling bit")
-    p_run.add_argument("--noise", default="gumbel",
-                       choices=[k.value for k in NoiseKind])
+        p.add_argument("--B", type=int, default=0, choices=(0, 1), help="resampling bit")
+        p.add_argument("--noise", default="gumbel", choices=[k.value for k in NoiseKind])
+
+    p_run = sub.add_parser("run", help="run a sweep and emit CSV")
+    add_setting_arguments(p_run)
     p_run.add_argument("--eps", default="1", help="comma list of epsilon values")
     p_run.add_argument("--T", default="63", help="comma list of horizons")
     p_run.add_argument("--trials", type=int, default=10_000)
@@ -184,13 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_run.set_defaults(func=cmd_run)
 
-    p_exact = sub.add_parser("exact", help="exact deterministic-instance regret table")
-    p_exact.add_argument("--means", default=None, help='comma list, e.g. "0,1"')
-    p_exact.add_argument("--K", type=int, default=None, help="uniform-grid instance size")
-    p_exact.add_argument("--noise", default="gumbel",
-                         choices=[k.value for k in NoiseKind])
+    p_exact = sub.add_parser("exact", help="exact per-epoch regret table")
+    add_setting_arguments(p_exact)
     p_exact.add_argument("--eps", type=float, default=1.0)
-    p_exact.add_argument("--R", type=int, default=40, help="number of doubling epochs")
+    p_exact.add_argument("--T", type=int, default=(1 << 40) - 1, help="horizon")
     p_exact.set_defaults(func=cmd_exact)
 
     p_verify = sub.add_parser("verify", help="run verification suites")

@@ -27,13 +27,17 @@ from .noise import RngStream
 
 
 class InvalidHorizon(ValueError):
-    """Horizon must be a positive integer."""
+    """Horizon must be an integer in [1, 2^1024)."""
 
 
 def epoch_lengths(horizon: int) -> List[int]:
-    """Doubling epoch lengths 1, 2, 4, ... with the last epoch truncated at T."""
+    """Doubling epoch lengths 1, 2, 4, ... with the last epoch truncated at T;
+    T must be below 2^1024, from where it and epoch lengths overflow a float."""
     if horizon < 1:
         raise InvalidHorizon(f"horizon must be >= 1, got {horizon}")
+    if horizon >= 1 << 1024:
+        raise InvalidHorizon("horizon must be below 2^1024, where it and an epoch "
+                             "length overflow a float")
     lengths = []
     t, r = 0, 1
     while t < horizon:
@@ -97,17 +101,12 @@ def sample_scores(instance: Instance, resample: int, length: int, trials: int,
     and finite-support losses reduce to multinomial atom counts.
 
     Point-mass columns consume no randomness; the random columns draw in
-    column order. When no column is random (no resampling, every model a
-    point mass) the result is `np.broadcast_to` of the single score row: a
-    read-only view in which every trial shares that row's memory.
+    column order.
     """
     point = np.array([not resample and isinstance(m, PointMass) for m in instance.models])
-    fixed = length * instance.means[point]
-    if point.all():
-        return np.broadcast_to(fixed, (trials, instance.k))
     gen = rng.generator
     scores = np.empty((trials, instance.k))
-    scores[:, point] = fixed
+    scores[:, point] = length * instance.means[point]
     for j, model in enumerate(instance.models):
         if point[j]:
             continue
@@ -206,7 +205,7 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     marginal over that epoch's scores and the selection noise.
 
     With every action a point mass and no resampling it is `selection_pmf`
-    of the one score row `sample_scores` shares, length * means. Otherwise
+    of the one score row every trial has, length * means. Otherwise
     each score is a point or a lattice variable (`_score_laws`), actions
     with the same law are grouped, and `lattice_selection_pmf` integrates
     the selection over the laws.

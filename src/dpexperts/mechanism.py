@@ -63,21 +63,13 @@ def select_batch(scores: np.ndarray, spec: MechanismSpec, rng: RngStream) -> np.
     """Report-noisy-max on each row of a (trials, K) score matrix: the argmax
     of -G + Q, or without noise the argmin of G with uniform tie-breaking.
 
-    The scores are only read, so a broadcast view of one row will do, and such
-    a shared row (stride 0, as `sample_scores` returns for point masses) is
-    selected from in O(K + trials): one uniform per trial through the inverse
-    CDF of the row's exact selection pmf, `selection_pmf`. Distinct rows get
-    their noisy values built block by block of rows, as Q - G in the inverse
-    CDF's output array (bitwise -G + Q); PCG64 fills uniforms in C order, so
-    the picks do not depend on the block size. Without noise, each distinct
-    row draws one uniform to pick from its tie set.
+    Every row draws real noise, built block by block of rows as Q - G in the
+    inverse CDF's output array (bitwise -G + Q); PCG64 fills uniforms in C
+    order, so the picks do not depend on the block size. Without noise, each
+    row draws one uniform to pick from its tie set. The scores are only read.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     n, k = scores.shape
-    # One row, as the per-step engine passes, has stride 0 too; it draws real
-    # noise, which keeps that engine independent of selection_pmf.
-    if n > 1 and scores.strides[0] == 0:
-        return sample_pmf(selection_pmf(scores[0], spec), n, rng)
     if spec.noise is NoiseKind.NONE:
         mins = scores.min(axis=1, keepdims=True)
         is_min = _tie_mask(scores, mins)

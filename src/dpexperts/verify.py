@@ -18,19 +18,19 @@ import numpy as np
 from .analysis import (
     PARTIAL_SUM_CONSTANT,
     SoftmaxSpec,
-    binomial_cdf,
     check_derivative_bound,
     exact_binomial_cdfs,
-    exact_det_gumbel_regret,
-    exact_det_regret_epochs,
+    exact_regret_epochs,
     gumbel_privacy_ratio,
     partial_sum_f,
     tail_bound,
 )
-from .core import FiniteSupport, MechanismSpec, NoiseKind, make_instance
+from .core import MechanismSpec, NoiseKind
+from .engine import _binomial_pmf
 from .harness import estimate_pseudoregret, selection_frequency
 from .instances import (
     bernoulli_instance,
+    deterministic_instance,
     paper_example_two_actions,
     uniform_grid_instance,
 )
@@ -51,19 +51,37 @@ def binomial_band(freq: float, trials: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / trials) + 3.0 / trials
 
 
+def exact_det_gumbel_regret(means, epsilon: float, big_r: int) -> float:
+    """Exact pseudoregret of a deterministic instance at B = 0 under Gumbel
+    noise, horizon T = 2^R - 1."""
+    spec = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=epsilon)
+    return math.fsum(exact_regret_epochs(deterministic_instance(means), spec, (1 << big_r) - 1))
+
+
+def binomial_cdf(n: int, p: float) -> np.ndarray:
+    """[P[X <= k] for k = 0..n], X ~ Binomial(n, p), in floats: prefix sums of
+    the pmf every stochastic epoch uses, `engine._binomial_pmf`, with 0 below
+    and 1 above the window it keeps. The float twin of `exact_binomial_cdfs`."""
+    low, pmf = _binomial_pmf(n, p)
+    cdf = np.ones(n + 1)
+    cdf[:low] = 0.0
+    cdf[low:low + pmf.size] = np.cumsum(pmf)
+    return cdf
+
+
 def check_exact_vs_mc(seed: int = 20240801, trials: int = 100_000) -> VerifyResult:
     """Monte Carlo pseudoregret (no resampling, deterministic losses) agrees
     with the exact calculator within 3 stderr on random small cells, the noise
     family cycling Gumbel, Laplace, Exponential by cell.
 
-    The Monte Carlo side is built from `selection_frequency` on one-atom
-    FiniteSupport losses, where `sample_scores` gives every trial its own
-    score row and selection draws real noise. `run_batch` would draw each
-    epoch's picks from the same `selection_pmf` the exact side sums, and the
-    check would compare that pmf with itself. With epoch r + 1 of length 2^r
-    playing the selection made after epoch r, the estimate is
-    mean(gaps) + sum_{r < R} 2^r (gaps . freq_r), and its stderr is
-    sqrt(sum_r 4^r var_r / trials) with var_r the variance of the picked gap.
+    The Monte Carlo side is built from `selection_frequency`, which gives
+    every trial its own score row and selects with real noise. `run_batch`
+    would draw each epoch's picks from the same pmfs the exact side sums,
+    and the check would compare those pmfs with themselves. With epoch
+    r + 1 of length 2^r playing the selection made after epoch r, the
+    estimate is mean(gaps) + sum_{r < R} 2^r (gaps . freq_r), and its stderr
+    is sqrt(sum_r 4^r var_r / trials) with var_r the variance of the picked
+    gap.
     """
     rng = np.random.default_rng(seed)
     families = (NoiseKind.GUMBEL, NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL)
@@ -75,8 +93,8 @@ def check_exact_vs_mc(seed: int = 20240801, trials: int = 100_000) -> VerifyResu
         eps = float(rng.choice([0.5, 1.0, 2.0]))
         big_r = int(rng.integers(2, 7))
         spec = MechanismSpec(resample=0, noise=families[i % 3], epsilon=eps)
-        exact = math.fsum(exact_det_regret_epochs(means, spec, big_r))
-        instance = make_instance([FiniteSupport(((m, 1.0),)) for m in means])
+        instance = deterministic_instance(means)
+        exact = math.fsum(exact_regret_epochs(instance, spec, (1 << big_r) - 1))
         gaps = instance.gaps
         mean, var = float(gaps.mean()), 0.0
         for r in range(1, big_r):
@@ -178,7 +196,8 @@ def check_tail_bounds(seed: int = 90, trials: int = 100_000) -> VerifyResult:
 
 def check_binomial_grid() -> VerifyResult:
     """Binomial CDF is nonincreasing in p: exact rational arithmetic over the
-    0.05 grid for every n <= 50 and every k, plus float-vs-exact agreement."""
+    0.05 grid for every n <= 50 and every k, plus agreement of the float CDF
+    built from the binomial pmf the sampler uses with the exact one."""
     grid = [Fraction(i, 20) for i in range(21)]
     violations = 0
     float_err = 0.0
@@ -190,8 +209,9 @@ def check_binomial_grid() -> VerifyResult:
                 violations += sum(1 for a, b in zip(prev, cur) if a < b)
             prev = cur
         exact = exact_binomial_cdfs(n, Fraction(7, 20))
+        floats = binomial_cdf(n, 0.35)
         for k in (0, n // 2, n):
-            float_err = max(float_err, abs(binomial_cdf(k, n, 0.35) - float(exact[k])))
+            float_err = max(float_err, abs(floats[k] - float(exact[k])))
     passed = violations == 0 and float_err <= 1e-12
     return VerifyResult("binomial", passed,
                         f"{violations} exact violations; float vs exact err {float_err:.2e}")

@@ -6,24 +6,38 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpexperts.analysis import (
-    MAX_EPOCHS,
     PARTIAL_SUM_CONSTANT,
     AdjacencyViolation,
     SoftmaxSpec,
-    binomial_cdf,
     check_derivative_bound,
     exact_binomial_cdfs,
-    exact_det_gumbel_regret,
-    exact_det_regret_epochs,
+    exact_regret_epochs,
     gumbel_privacy_ratio,
     partial_sum_f,
     softmax_f,
     tail_bound,
 )
 from dpexperts.core import MechanismSpec, NoiseKind, OutOfRange
+from dpexperts.engine import InvalidHorizon, epoch_lengths
+from dpexperts.harness import selection_frequency
+from dpexperts.instances import (
+    bernoulli_instance,
+    deterministic_instance,
+    parse_instance_spec,
+)
+from dpexperts.mechanism import rnm_pmf_oracle
+from dpexperts.verify import binomial_cdf, exact_det_gumbel_regret
 
 
 GUMBEL_1 = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=1.0)
+
+
+def _spec(resample, kind, eps):
+    return MechanismSpec(resample, kind, epsilon=eps if kind is not NoiseKind.NONE else 0.0)
+
+
+def _det(means, spec, horizon):
+    return exact_regret_epochs(deterministic_instance(means), spec, horizon)
 
 
 class TestExactCalculator:
@@ -34,13 +48,18 @@ class TestExactCalculator:
         assert expected == pytest.approx(1.0379, abs=1e-4)
 
     def test_epoch_contributions_sum_to_total(self):
+        # T = 2^11 - 1 + 5 ends with a truncated epoch of length 5, which
+        # plays the selection of the full T = 2^12 - 1's epoch 12 for 5 steps.
         means = [0.0, 0.3, 0.9]
-        contr = exact_det_regret_epochs(means, GUMBEL_1, 12)
-        assert len(contr) == 12
-        assert math.fsum(contr) == pytest.approx(exact_det_gumbel_regret(means, 1.0, 12))
+        full = _det(means, GUMBEL_1, (1 << 12) - 1)
+        assert len(full) == 12
+        assert math.fsum(full) == pytest.approx(exact_det_gumbel_regret(means, 1.0, 12))
+        cut = _det(means, GUMBEL_1, (1 << 11) + 4)
+        assert cut[:11] == full[:11]
+        assert cut[11] == pytest.approx(full[11] * 5 / (1 << 11), rel=1e-14)
 
     def test_contributions_vanish_for_large_epochs(self):
-        contr = exact_det_regret_epochs([0.0, 0.5], GUMBEL_1, 40)
+        contr = _det([0.0, 0.5], GUMBEL_1, (1 << 40) - 1)
         assert contr[-1] < 1e-12
 
     @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL])
@@ -49,7 +68,7 @@ class TestExactCalculator:
         # det:0,1: the action behind by a = 2^(r-2) eps / 2 noise scales is
         # selected with probability 1/2 e^-a (1 + a/2) under Laplace noise and
         # 1/2 e^-a under Exponential noise, and costs 1 per step of epoch r.
-        contr = exact_det_regret_epochs([0.0, 1.0], MechanismSpec(0, kind, epsilon=eps), 40)
+        contr = _det([0.0, 1.0], MechanismSpec(0, kind, epsilon=eps), (1 << 40) - 1)
         assert contr[0] == 0.5
         for r, c in enumerate(contr[1:], start=2):
             a = 2.0 ** (r - 2) * eps / 2.0
@@ -57,11 +76,13 @@ class TestExactCalculator:
             assert abs(c - 2.0 ** (r - 1) * tail) <= 1e-12
 
     def test_epoch_count_is_capped(self):
-        # Epoch 1025 would last 2^1024 steps, which overflows a float.
-        assert MAX_EPOCHS == 1024
-        assert exact_det_gumbel_regret([0.0, 1.0], 1.0, MAX_EPOCHS) > 0.0
-        with pytest.raises(OutOfRange):
-            exact_det_regret_epochs([0.0, 1.0], GUMBEL_1, MAX_EPOCHS + 1)
+        # From T = 2^1024 on, T and epoch 1025's length overflow a float.
+        contr = _det([0.0, 1.0], GUMBEL_1, (1 << 1024) - 1)
+        assert len(contr) == 1024 and math.fsum(contr) > 0.0
+        with pytest.raises(InvalidHorizon):
+            _det([0.0, 1.0], GUMBEL_1, 1 << 1024)
+        with pytest.raises(InvalidHorizon):
+            epoch_lengths(1 << 1024)
 
     def test_all_tied_means_give_zero_regret(self):
         assert exact_det_gumbel_regret([0.4, 0.4, 0.4], 1.0, 10) == 0.0
@@ -69,8 +90,84 @@ class TestExactCalculator:
     def test_validation(self):
         with pytest.raises(OutOfRange):
             exact_det_gumbel_regret([0.0, 1.0], 0.0, 5)
-        with pytest.raises(OutOfRange):
-            exact_det_gumbel_regret([0.0, 1.0], 1.0, 0)
+        with pytest.raises(InvalidHorizon):
+            _det([0.0, 1.0], GUMBEL_1, 0)
+
+    def test_epoch_without_a_pmf_is_out_of_range(self):
+        # 64 overlapping Binomial laws under noise 200 lattice steps wide:
+        # epoch 1's integration window exceeds PMF_MAX_VALUES.
+        inst = bernoulli_instance(0.5 + 0.001 * np.arange(64))
+        with pytest.raises(OutOfRange, match="epoch 1 "):
+            exact_regret_epochs(inst, MechanismSpec(1, NoiseKind.LAPLACE, epsilon=0.01), 7)
+
+    @pytest.mark.parametrize("spec_text,resample,kind,actions", [
+        ("paper-example", 0, NoiseKind.LAPLACE, "paper"),
+        ("paper-example", 1, NoiseKind.NONE, "paper"),
+        ("paper-example", 1, NoiseKind.EXPONENTIAL, "paper"),
+        ("paper-example", 0, NoiseKind.GUMBEL, "paper"),
+        ("bern:0.4,0.5", 1, NoiseKind.GUMBEL, "bern"),
+    ])
+    def test_matches_two_action_reference(self, bench_module, spec_text, resample, kind,
+                                          actions):
+        refs = bench_module("refs")
+        models = {"paper": (("point", 0.3), ("two-atom", 0.4, 0.0, 0.8)),
+                  "bern": (("bernoulli", 0.4), ("bernoulli", 0.5))}[actions]
+        spec = _spec(resample, kind, 1.0)
+        horizon = (1 << 20) - 1
+        expected = refs.two_action_regret(models, resample, kind.value, spec.scale(), horizon)
+        got = math.fsum(exact_regret_epochs(parse_instance_spec(spec_text), spec, horizon))
+        assert abs(got - expected) <= 1e-9
+
+    @pytest.mark.parametrize("spec_text,kind,eps,means", [
+        ("worst-np:K=8,delta=0.25", NoiseKind.GUMBEL, 2.0, ("worst_np_means", 8, 0.25)),
+        ("grid:K=256", NoiseKind.GUMBEL, 0.5, ("grid_means", 256)),
+        ("lower-bound:K=16,delta=0.1,l=3", NoiseKind.NONE, 0.0,
+         ("lower_bound_means", 16, 0.1, 3)),
+        ("grid:K=64", NoiseKind.NONE, 0.0, ("grid_means", 64)),
+    ])
+    def test_matches_deterministic_reference(self, bench_module, spec_text, kind, eps, means):
+        refs = bench_module("refs")
+        spec = _spec(0, kind, eps)
+        horizon = (1 << 30) - 1
+        mu = getattr(refs, means[0])(*means[1:])
+        expected = refs.det_regret(mu, kind.value, spec.scale(), horizon)
+        got = math.fsum(exact_regret_epochs(parse_instance_spec(spec_text), spec, horizon))
+        assert abs(got - expected) <= 1e-9
+
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_closed_form_oracle(self, kind, seed):
+        # The Laplace and Exponential kernel against the piecewise closed
+        # form, epoch by epoch: sum_r L_{r+1} (oracle(L_r means) . gaps).
+        rng = np.random.default_rng(seed)
+        means = np.round(rng.uniform(0.0, 1.0, size=int(rng.integers(2, 9))), 3)
+        inst = deterministic_instance(means)
+        spec = MechanismSpec(0, kind, epsilon=float(rng.choice([0.5, 1.0, 2.0])))
+        horizon = (1 << 16) - 1
+        lengths = epoch_lengths(horizon)
+        expected = [lengths[0] * float(inst.gaps.mean())] + [
+            length * float(rnm_pmf_oracle(prev * inst.means, spec) @ inst.gaps)
+            for prev, length in zip(lengths, lengths[1:])]
+        got = exact_regret_epochs(inst, spec, horizon)
+        assert abs(math.fsum(got) - math.fsum(expected)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("spec_text", ["bern:0.2,0.5,0.8", "paper-example"])
+    def test_matches_selection_frequency_monte_carlo(self, spec_text, kind):
+        # selection_frequency samples real scores and real noise, apart from
+        # the epoch pmfs; the estimate mean(gaps) + sum_r 2^r (gaps . freq_r)
+        # has stderr sqrt(sum_r 4^r var_r / trials).
+        inst = parse_instance_spec(spec_text)
+        spec = _spec(1, kind, 1.0)
+        big_r, trials = 8, 20_000
+        mean, var = float(inst.gaps.mean()), 0.0
+        for r in range(1, big_r):
+            freq = selection_frequency(inst, spec, r, trials, 31)
+            picked = float(freq @ inst.gaps)
+            mean += (1 << r) * picked
+            var += (1 << r) ** 2 * (float(freq @ inst.gaps ** 2) - picked ** 2)
+        exact = math.fsum(exact_regret_epochs(inst, spec, (1 << big_r) - 1))
+        assert abs(mean - exact) <= 4.0 * math.sqrt(var / trials) + 1e-12
 
 
 class TestBinomialCdf:
@@ -81,13 +178,15 @@ class TestBinomialCdf:
     def test_float_matches_exact_rational(self, k, extra, p):
         n = k + extra
         exact = exact_binomial_cdfs(n, p)[k]
-        assert binomial_cdf(k, n, float(p)) == pytest.approx(float(exact), abs=1e-9)
+        assert binomial_cdf(n, float(p))[k] == pytest.approx(float(exact), abs=1e-9)
 
     def test_edges(self):
-        assert binomial_cdf(5, 5, 0.3) == 1.0
-        assert binomial_cdf(0, 10, 0.0) == 1.0
-        assert binomial_cdf(9, 10, 1.0) == 0.0
-        assert binomial_cdf(10, 10, 1.0) == 1.0
+        # Outside the kept window the CDF is exactly 0 below and 1 above.
+        assert binomial_cdf(5, 0.3)[5] == pytest.approx(1.0, abs=1e-15)
+        assert binomial_cdf(10, 0.0).tolist() == [1.0] * 11
+        assert binomial_cdf(10, 1.0).tolist() == [0.0] * 10 + [1.0]
+        far = binomial_cdf(1 << 12, 0.5)
+        assert far[0] == 0.0 and far[-1] == 1.0
 
     def test_monotone_in_p_on_a_small_grid(self):
         grid = [Fraction(i, 10) for i in range(11)]
@@ -95,12 +194,6 @@ class TestBinomialCdf:
             for k in range(n + 1):
                 vals = [exact_binomial_cdfs(n, p)[k] for p in grid]
                 assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(OutOfRange):
-            binomial_cdf(5, 4, 0.5)
-        with pytest.raises(OutOfRange):
-            binomial_cdf(1, 4, 1.5)
 
 
 nonneg_weights = st.lists(st.floats(min_value=0.0, max_value=8.0, allow_nan=False),

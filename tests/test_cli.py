@@ -52,6 +52,20 @@ class TestRun:
         assert main(["run", "--instance", "det:0,1", "--T", "7,7.9"]) == EXIT_USAGE
         assert "--T" in capsys.readouterr().err
 
+    def test_large_horizon_round_trips_exactly(self, tmp_path):
+        # 2^60 - 1 is not a float; read through one it would become 2^60.
+        out = tmp_path / "big.csv"
+        horizon = (1 << 60) - 1
+        assert main(["run", "--instance", "det:0,1", "--T", str(horizon), "--trials", "10",
+                     "--out", str(out)]) == EXIT_OK
+        with open(out, newline="") as fh:
+            assert [row["T"] for row in csv.DictReader(fh)] == [str(horizon)]
+
+    def test_horizon_of_2_to_the_1024_is_usage_error(self, capsys):
+        argv = ["run", "--instance", "det:0,1", "--T", f"7,{1 << 1024}", "--trials", "5"]
+        assert main(argv) == EXIT_USAGE
+        assert "--T" in capsys.readouterr().err
+
     @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
     def test_bad_epsilon_is_usage_error(self, eps, capsys):
         argv = ["run", "--instance", "det:0,1", "--T", "7", "--trials", "5", "--eps", eps]
@@ -69,15 +83,18 @@ class TestRun:
         assert "DPEXPERTS_THREADS" in capsys.readouterr().err
 
 
+BERN_64 = "bern:" + ",".join(f"{0.5 + 0.001 * j:.3f}" for j in range(64))
+
+
 class TestExact:
     def test_table_output(self, capsys):
-        assert main(["exact", "--means", "0,1", "--eps", "2", "--R", "2"]) == EXIT_OK
+        assert main(["exact", "--instance", "det:0,1", "--eps", "2", "--T", "3"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "1.0378828" in out
         assert "epoch" in out and "cumulative" in out
 
     def test_noise_option(self, capsys):
-        assert main(["exact", "--means", "0,1", "--eps", "2", "--R", "2",
+        assert main(["exact", "--instance", "det:0,1", "--eps", "2", "--T", "3",
                      "--noise", "exponential"]) == EXIT_OK
         out = capsys.readouterr().out
         # Epoch 2 selects the worse action with probability e^-1 / 2.
@@ -85,33 +102,48 @@ class TestExact:
         assert "noise=exponential" in out
 
     def test_epoch_count_over_cap_is_usage_error(self, capsys):
-        assert main(["exact", "--means", "0,1", "--R", "1025"]) == EXIT_USAGE
-        assert "--R" in capsys.readouterr().err
+        # From T = 2^1024 on, T and epoch 1025's length overflow a float.
+        assert main(["exact", "--instance", "det:0,1", "--T", str(1 << 1024)]) == EXIT_USAGE
+        assert "--T" in capsys.readouterr().err
+        assert main(["exact", "--instance", "det:0,1", "--T", str((1 << 1024) - 1)]) == EXIT_OK
 
     def test_grid_shortcut(self, capsys):
-        assert main(["exact", "--K", "8", "--R", "5"]) == EXIT_OK
+        assert main(["exact", "--instance", "grid:K=8", "--T", "31"]) == EXIT_OK
         assert "exact pseudoregret" in capsys.readouterr().out
+
+    def test_stochastic_instance_with_resampling(self, capsys):
+        # P(action 1) after epoch 1 is P(bit 1 = 0, bit 0 = 1) + ties / 2.
+        assert main(["exact", "--instance", "bern:0.4,0.5", "--B", "1", "--noise", "none",
+                     "--T", "3"]) == EXIT_OK
+        expected = 0.5 * 0.1 + 2 * 0.1 * (0.5 * 0.4 + 0.5 * (0.4 * 0.5 + 0.6 * 0.5))
+        assert f"{expected:.10f}" in capsys.readouterr().out
+
+    def test_epoch_without_a_pmf_is_usage_error(self, capsys):
+        argv = ["exact", "--instance", BERN_64, "--B", "1", "--noise", "laplace",
+                "--eps", "0.01", "--T", "7"]
+        assert main(argv) == EXIT_USAGE
+        assert "epoch 1 " in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["exact"],
-        ["exact", "--means", "0,1", "--eps", "0"],
-        ["exact", "--means", "0,1", "--R", "0"],
-        ["exact", "--K", "1"],
+        ["exact", "--instance", "det:0,1", "--eps", "0"],
+        ["exact", "--instance", "det:0,1", "--T", "0"],
+        ["exact", "--instance", "grid:K=1"],
     ])
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
 
     def test_non_finite_means_are_rejected(self, capsys):
-        assert main(["exact", "--means", "0,nan", "--R", "3"]) == EXIT_USAGE
-        assert "--means" in capsys.readouterr().err
+        assert main(["exact", "--instance", "det:0,nan", "--T", "7"]) == EXIT_USAGE
+        assert "det:0,nan" in capsys.readouterr().err
 
     def test_nan_epsilon_is_rejected(self, capsys):
-        assert main(["exact", "--means", "0,1", "--eps", "nan", "--R", "3"]) == EXIT_USAGE
+        assert main(["exact", "--instance", "det:0,1", "--eps", "nan", "--T", "7"]) == EXIT_USAGE
         assert "--eps" in capsys.readouterr().err
 
-    def test_means_need_not_lie_in_unit_interval(self, capsys):
-        # The exact calculator only uses gaps, so any real means are accepted.
-        assert main(["exact", "--means", "0,2", "--R", "3"]) == EXIT_OK
+    def test_means_outside_unit_interval_are_rejected(self, capsys):
+        # Losses lie in [0, 1], and exact parses instances as run does.
+        assert main(["exact", "--instance", "det:0,2", "--T", "7"]) == EXIT_USAGE
 
 
 class TestVerify:

@@ -23,7 +23,7 @@ from dpexperts.engine import (
     sample_scores,
 )
 from dpexperts.harness import selection_frequency
-from dpexperts.mechanism import rnm_pmf_oracle, select_batch
+from dpexperts.mechanism import rnm_pmf_oracle, sample_pmf, select_batch, selection_pmf
 from dpexperts.instances import (
     bernoulli_instance,
     deterministic_instance,
@@ -115,7 +115,6 @@ class TestScoreSampling:
         before = rng.generator.bit_generator.state
         scores = sample_scores(inst, 0, 1 << 29, 300, rng)
         assert rng.generator.bit_generator.state == before
-        assert scores.shape == (300, 64) and not scores.flags.writeable
         assert np.array_equal(scores, np.tile((1 << 29) * inst.means, (300, 1)))
 
     @pytest.mark.parametrize("resample", [0, 1])
@@ -343,9 +342,8 @@ class TestEpochSelectionPmf:
             assert np.all(np.abs(freq - pmf) <= 4.0 * sigma + 1e-12), (r, freq, pmf)
 
     def test_point_masses_select_from_the_shared_row(self):
-        # Every action a point mass at B = 0: run_batch draws the uniforms the
-        # shared-row branch of select_batch draws, so its stream is the one of
-        # select_batch on the broadcast score row.
+        # Every action a point mass at B = 0: each epoch's picks are drawn
+        # from selection_pmf of the one score row every trial shares.
         inst = parse_instance_spec("lower-bound:K=16,delta=0.1,l=3")
         for kind in NoiseKind:
             spec = _spec(0, kind, 0.5)
@@ -356,8 +354,7 @@ class TestEpochSelectionPmf:
             for r, length in enumerate(lengths, start=1):
                 regret += length * inst.gaps[actions]
                 if r < len(lengths):
-                    row = np.broadcast_to(length * inst.means, (300, inst.k))
-                    actions = select_batch(row, spec, rng)
+                    actions = sample_pmf(selection_pmf(length * inst.means, spec), 300, rng)
             assert np.array_equal(run_batch(inst, spec, 1023, 300, RngStream(5)), regret)
 
     def test_three_atom_support_takes_the_sampling_fallback(self):
