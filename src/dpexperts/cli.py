@@ -14,7 +14,7 @@ from typing import List, Optional
 from .analysis import exact_regret_epochs
 from .core import MechanismSpec, NoiseKind, OutOfRange
 from .engine import InvalidHorizon, epoch_lengths
-from .harness import default_workers, sweep, write_csv
+from .harness import cells_to_csv, sweep, write_csv
 from .instances import InstanceSpecError, parse_instance_spec
 from .svg import line_chart
 from .verify import SUITES, run_suites
@@ -91,15 +91,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     instances = _instances(args)
     specs = _mechanism_specs(args, _floats(args.eps, "--eps"))
     horizons = [_horizon(t) for t in _ints(args.T, "--T")]
-    try:
-        workers = default_workers()
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    cells = sweep(instances, specs, horizons, args.trials, args.seed, max_workers=workers)
+    cells = sweep(instances, specs, horizons, args.trials, args.seed)
     if args.out:
         write_csv(cells, args.out)
     else:
-        from .harness import cells_to_csv
         sys.stdout.write(cells_to_csv(cells))
     return EXIT_OK
 

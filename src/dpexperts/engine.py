@@ -215,7 +215,8 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     sqrt(n (BINOMIAL_LOG_CUT + log(n + 1)) / 2) of n q, and an action whose
     lowest possible score is more than PRUNE_SCALES noise scales (ties,
     without noise) above every other's highest is one
-    `lattice_selection_pmf` would prune anyway.
+    `lattice_selection_pmf` would prune anyway. When one action is left,
+    the pmf is one-hot on it, whatever its window.
 
     Returns None where the random scores share no single lattice (a finite
     support with three or more atoms, or lattice steps or offsets that
@@ -228,7 +229,8 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     laws = _score_laws(instance, spec.resample, length)
     if laws is None:
         return None
-    base, step, n, q = (np.array(column) for column in zip(*laws))
+    # Floats: epoch lengths from 2^63 on overflow an int64 column.
+    base, step, n, q = (np.array(column, dtype=float) for column in zip(*laws))
     random = (n > 0) & (q > 0.0) & (q < 1.0)
     base += step * np.where(random, 0.0, np.round(q) * n)
     step, n, q = (np.where(random, column, 0) for column in (step, n, q))
@@ -240,6 +242,9 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     near = np.flatnonzero(
         centre - radius <= best + PRUNE_SCALES * spec.scale() + TIE_RTOL * (1.0 + abs(best)))
     pmf = np.zeros(instance.k)
+    if near.size == 1:
+        pmf[near] = 1.0
+        return pmf
     lattice = near[random[near]]
     if lattice.size == 0:
         pmf[near] = selection_pmf(base[near], spec)

@@ -4,8 +4,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -59,52 +57,26 @@ def selection_frequency(instance: Instance, spec: MechanismSpec, r: int,
     return np.bincount(selections, minlength=instance.k) / trials
 
 
-def default_workers() -> int:
-    """Sweep worker count from DPEXPERTS_THREADS, 1 if unset."""
-    raw = os.environ.get("DPEXPERTS_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"DPEXPERTS_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def sweep(instances: Sequence[Tuple[str, Instance]], specs: Sequence[MechanismSpec],
-          horizons: Sequence[int], trials: int, base_seed: int,
-          max_workers: Optional[int] = None) -> List[SweepCell]:
+          horizons: Sequence[int], trials: int, base_seed: int) -> List[SweepCell]:
     """Evaluate every instance x spec x horizon cell, in deterministic order.
 
-    Cells draw from per-cell derived seeds, so parallel and sequential execution
-    produce identical results. Each (instance, spec) pair computes its epoch
-    pmfs once, for the largest horizon, and every horizon's cell samples from
-    them. Pairs run in parallel; worker count defaults to DPEXPERTS_THREADS
-    (1 if unset).
+    Each cell draws from its own derived seed. Each (instance, spec) pair
+    computes its epoch pmfs once, for the largest horizon, and every
+    horizon's cell samples from them.
     """
-    pairs = [(label, instance, spec) for label, instance in instances for spec in specs]
     longest = max(horizons, default=1)
-    if max_workers is None:
-        max_workers = default_workers()
-
-    def evaluate(idx_pair):
-        idx, (label, instance, spec) = idx_pair
+    cells = []
+    pairs = [(label, instance, spec) for label, instance in instances for spec in specs]
+    for idx, (label, instance, spec) in enumerate(pairs):
         pmfs = epoch_pmfs(instance, spec, longest)
-        cells = []
         for run_id, horizon in enumerate(horizons, start=idx * len(horizons)):
             seed = derive_seed(base_seed, run_id)
             estimate = estimate_pseudoregret(instance, spec, horizon, trials, seed, pmfs=pmfs)
             cells.append(SweepCell(run_id=run_id, label=label, instance=instance, spec=spec,
                                    horizon=horizon, trials=trials, estimate=estimate,
                                    seed=seed))
-        return cells
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            done = list(pool.map(evaluate, enumerate(pairs)))
-    else:
-        done = [evaluate(item) for item in enumerate(pairs)]
-    return [cell for cells in done for cell in cells]
+    return cells
 
 
 def cells_to_csv(cells: Sequence[SweepCell]) -> str:

@@ -7,10 +7,7 @@ import math
 import numpy as np
 
 from .core import MechanismSpec, NoiseKind, OutOfRange
-from .noise import RngStream, noise_ppf
-# Nothing here calls noise_pdf or noise_cdf, but bench/run.py looks both up on
-# this module with getattr to wrap them in its traced pass, so the names stay.
-from .noise import noise_cdf, noise_pdf  # noqa: F401
+from .noise import RngStream, noise_cdf, noise_pdf, noise_ppf
 
 # The pmf oracle is for small-instance verification only: its Laurent
 # expansion has up to 2K+1 terms of mixed sign, and cancellation grows with K.
@@ -284,20 +281,6 @@ def _lattice_tie_pmf(lows, pmfs, sizes, step, copies, best) -> np.ndarray:
     return p
 
 
-def _unit_cdf_pdf(kind: NoiseKind, z: np.ndarray):
-    """(F(z), f(z)) of unit-scale noise, finite and warning-free for any z."""
-    if kind is NoiseKind.GUMBEL:
-        t = np.exp(-np.maximum(z, -700.0))
-        cdf = np.exp(-t)
-        return cdf, t * cdf
-    t = np.exp(-np.abs(z))
-    if kind is NoiseKind.LAPLACE:
-        t *= 0.5
-        return np.where(z < 0.0, t, 1.0 - t), t
-    t[z < 0.0] = 0.0
-    return np.where(z < 0.0, 0.0, -np.expm1(-np.abs(z))), t
-
-
 def _next_fft_size(n: int) -> int:
     """Smallest 2^a 3^b >= n, a length pocketfft transforms fast."""
     return min((1 << max(0, math.ceil(math.log2(n / 3 ** b) - 1e-9))) * 3 ** b
@@ -397,9 +380,9 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     for offset, weight in zip((mid[:, None] + half[:, None] * x).ravel(),
                               (half[:, None] * w).ravel()):
         if kind is NoiseKind.GUMBEL:
-            grid_cdf, grid_pdf = _unit_cdf_pdf(kind, offset + h * n)
-            cdf[:lattice.size] = correlate(grid_cdf)
-            hazard[:lattice.size] = correlate(grid_pdf)
+            z = offset + h * n
+            cdf[:lattice.size] = correlate(noise_cdf(kind, z, 1.0))
+            hazard[:lattice.size] = correlate(noise_pdf(kind, z, 1.0))
         else:
             up = upper * (a * math.exp(-offset))
             np.add(mass, up, out=cdf[:lattice.size])
@@ -409,8 +392,9 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
                 cdf[:lattice.size] += down
                 hazard[:lattice.size] += down
         if points.size:
-            cdf[lattice.size:], hazard[lattice.size:] = _unit_cdf_pdf(
-                kind, y_period + offset + g[points][:, None])
+            z = y_period + offset + g[points][:, None]
+            cdf[lattice.size:] = noise_cdf(kind, z, 1.0)
+            hazard[lattice.size:] = noise_pdf(kind, z, 1.0)
         # FFT rounding can leave F and f a few ulps below 0; F is kept
         # positive so that h = f / F is finite. Where W underflows, every
         # f_j prod_{i != j} F_i = h_j W is negligible: nodes stay off the

@@ -104,15 +104,16 @@ def laplace_ppf(u, scale: float):
 
 
 # --- Exponential(beta): density (1/beta) exp(-x/beta) on x >= 0 ---
+# pdf and cdf exponentiate -|x|/beta, which never overflows below the support.
 
 def exponential_pdf(x, scale: float):
-    x = np.asarray(x, float)
-    return np.where(x < 0.0, 0.0, np.exp(-x / scale) / scale)
+    z = np.asarray(x, float) / scale
+    return np.where(z < 0.0, 0.0, np.exp(-np.abs(z))) / scale
 
 
 def exponential_cdf(x, scale: float):
-    x = np.asarray(x, float)
-    return np.where(x < 0.0, 0.0, -np.expm1(-x / scale))
+    z = np.asarray(x, float) / scale
+    return np.where(z < 0.0, 0.0, -np.expm1(-np.abs(z)))
 
 
 def exponential_ppf(u, scale: float):
@@ -123,15 +124,17 @@ def exponential_ppf(u, scale: float):
     return x[()]
 
 
-# --- Gumbel(beta): density (1/beta) exp(-x/beta - exp(-x/beta)) ---
+# --- Gumbel(beta): density (1/beta) t e^-t with t = exp(-x/beta) ---
+# x/beta is clamped at -700, where e^-t is already 0, so exp(-x/beta) never
+# overflows.
 
 def gumbel_pdf(x, scale: float):
-    z = np.asarray(x, float) / scale
-    return np.exp(-z - np.exp(-z)) / scale
+    t = np.exp(-np.maximum(np.asarray(x, float) / scale, -700.0))
+    return t * np.exp(-t) / scale
 
 
 def gumbel_cdf(x, scale: float):
-    return np.exp(-np.exp(-np.asarray(x, float) / scale))
+    return np.exp(-np.exp(-np.maximum(np.asarray(x, float) / scale, -700.0)))
 
 
 def gumbel_ppf(u, scale: float):

@@ -11,10 +11,11 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
+def _ticks(lo: float, hi: float) -> List[float]:
+    """About six round-valued ticks covering [lo, hi]."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     first = math.ceil(lo / step) * step
@@ -26,9 +27,8 @@ def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
     return out or [lo]
 
 
-def line_chart(series: Dict[str, Sequence[Tuple[float, float]]], x_label: str,
-               y_label: str = "regret") -> str:
-    """Render named (x, y) series to an SVG document with axes and a legend."""
+def line_chart(series: Dict[str, Sequence[Tuple[float, float]]], x_label: str) -> str:
+    """Render named (x, y) regret series to an SVG document with axes and a legend."""
     if not series or all(len(pts) == 0 for pts in series.values()):
         raise ValueError("no data to plot")
     xs = [x for pts in series.values() for x, _ in pts]
@@ -77,7 +77,7 @@ def line_chart(series: Dict[str, Sequence[Tuple[float, float]]], x_label: str,
         f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 10}" font-size="13" '
         f'text-anchor="middle">{x_label}</text>'
         f'<text x="18" y="{MARGIN_T + plot_h / 2:.0f}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.0f})">{y_label}</text>'
+        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.0f})">regret</text>'
     )
     for i, (name, pts) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]

@@ -7,6 +7,7 @@ The acceptance tests call these same functions.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,7 +70,7 @@ def binomial_cdf(n: int, p: float) -> np.ndarray:
     return cdf
 
 
-def check_exact_vs_mc(seed: int = 20240801, trials: int = 100_000) -> VerifyResult:
+def check_exact_vs_mc() -> VerifyResult:
     """Monte Carlo pseudoregret (no resampling, deterministic losses) agrees
     with the exact calculator within 3 stderr on random small cells, the noise
     family cycling Gumbel, Laplace, Exponential by cell.
@@ -83,6 +84,7 @@ def check_exact_vs_mc(seed: int = 20240801, trials: int = 100_000) -> VerifyResu
     is sqrt(sum_r 4^r var_r / trials) with var_r the variance of the picked
     gap.
     """
+    seed, trials = 20240801, 100_000
     rng = np.random.default_rng(seed)
     families = (NoiseKind.GUMBEL, NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL)
     worst = 0.0
@@ -136,7 +138,7 @@ def check_shape_eps() -> VerifyResult:
                         f"regret*eps spread over eps in 0.25..4 = {spread:.3%}")
 
 
-def check_t_independence(seed: int = 77, trials: int = 10_000) -> VerifyResult:
+def check_t_independence() -> VerifyResult:
     """Regret with resampling has converged: estimates at T=2^12-1 and 2^16-1
     differ by less than 3 combined stderr for every noise family."""
     instance = bernoulli_instance([0.1, 0.3, 0.5, 0.7])
@@ -144,8 +146,8 @@ def check_t_independence(seed: int = 77, trials: int = 10_000) -> VerifyResult:
     details = []
     for kind in (NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL, NoiseKind.GUMBEL):
         spec = MechanismSpec(resample=1, noise=kind, epsilon=1.0)
-        short = estimate_pseudoregret(instance, spec, (1 << 12) - 1, trials, seed)
-        long = estimate_pseudoregret(instance, spec, (1 << 16) - 1, trials, seed + 1)
+        short = estimate_pseudoregret(instance, spec, (1 << 12) - 1, 10_000, 77)
+        long = estimate_pseudoregret(instance, spec, (1 << 16) - 1, 10_000, 78)
         band = 3.0 * math.hypot(short.stderr, long.stderr)
         diff = abs(short.mean - long.mean)
         details.append(f"{kind.value}: |{short.mean:.3f}-{long.mean:.3f}|={diff:.3f} vs {band:.3f}")
@@ -154,14 +156,15 @@ def check_t_independence(seed: int = 77, trials: int = 10_000) -> VerifyResult:
     return VerifyResult("t-independence", not failures, "; ".join(details))
 
 
-def check_monotonicity(seed: int = 5150, trials: int = 100_000) -> VerifyResult:
+def check_monotonicity() -> VerifyResult:
     """With resampling, selection frequencies at epoch 6 are nonincreasing in the
     mean ordering and bounded by 1/j, for all three noise families."""
+    trials = 100_000
     instance = bernoulli_instance([0.2, 0.5, 0.8])
     failures = []
     for kind in (NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL, NoiseKind.GUMBEL):
         spec = MechanismSpec(resample=1, noise=kind, epsilon=1.0)
-        freq = selection_frequency(instance, spec, 6, trials, seed)
+        freq = selection_frequency(instance, spec, 6, trials, 5150)
         for j in range(len(freq) - 1):
             band = 3.0 * math.sqrt(
                 (freq[j] * (1 - freq[j]) + freq[j + 1] * (1 - freq[j + 1])) / trials
@@ -175,16 +178,17 @@ def check_monotonicity(seed: int = 5150, trials: int = 100_000) -> VerifyResult:
                         failures[0] if failures else "3 kinds x 3 actions within bands")
 
 
-def check_tail_bounds(seed: int = 90, trials: int = 100_000) -> VerifyResult:
+def check_tail_bounds() -> VerifyResult:
     """Empirical selection probability of the gap-0.5 action stays below the
     analytic tail bound for the Exponential and Gumbel families."""
+    trials = 100_000
     instance = bernoulli_instance([0.1, 0.6])
     failures = []
     worst = 0.0
     for kind in (NoiseKind.EXPONENTIAL, NoiseKind.GUMBEL):
         spec = MechanismSpec(resample=1, noise=kind, epsilon=1.0)
         for r in range(4, 9):
-            freq = selection_frequency(instance, spec, r, trials, seed + r)[1]
+            freq = selection_frequency(instance, spec, r, trials, 90 + r)[1]
             bound = min(1.0, tail_bound(kind, r, 0.5, 1.0))
             limit = bound + binomial_band(bound, trials)
             worst = max(worst, freq / limit)
@@ -217,9 +221,9 @@ def check_binomial_grid() -> VerifyResult:
                         f"{violations} exact violations; float vs exact err {float_err:.2e}")
 
 
-def check_softmax_derivative(seed: int = 11) -> VerifyResult:
+def check_softmax_derivative() -> VerifyResult:
     """Finite-difference check of the derivative bound f' <= ln2 * f."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     xs = np.linspace(-2.0, 10.0, 61)
     worst = -math.inf
     for _ in range(100):
@@ -230,9 +234,9 @@ def check_softmax_derivative(seed: int = 11) -> VerifyResult:
     return VerifyResult("softmax-derivative", worst <= 1e-6, f"max violation {worst:.2e}")
 
 
-def check_softmax_series(seed: int = 13) -> VerifyResult:
+def check_softmax_series() -> VerifyResult:
     """Partial series sums stay below the explicit (1+ln2)/ln2 * lnK constant."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(13)
     worst = 0.0
     for k in (2, 8, 64, 512):
         bound = PARTIAL_SUM_CONSTANT * math.log(k)
@@ -243,13 +247,12 @@ def check_softmax_series(seed: int = 13) -> VerifyResult:
     return VerifyResult("softmax-series", worst <= 1.0, f"worst sum/bound = {worst:.3f}")
 
 
-def _oracle_ratio_grid(kind: NoiseKind, epsilon: float, rng: np.random.Generator,
-                       n_bases: int = 4) -> float:
+def _oracle_ratio_grid(kind: NoiseKind, epsilon: float, rng: np.random.Generator) -> float:
     """Max oracle pmf ratio over per-coordinate perturbations in [-1, 1]."""
     spec = MechanismSpec(resample=0, noise=kind, epsilon=epsilon)
     worst = 0.0
     deltas = (-1.0, 0.0, 1.0)
-    for _ in range(n_bases):
+    for _ in range(4):
         k = int(rng.integers(2, 5))
         scores = np.round(rng.uniform(1.0, 4.0, size=k), 2)
         base = rnm_pmf_oracle(scores, spec)
@@ -261,9 +264,9 @@ def _oracle_ratio_grid(kind: NoiseKind, epsilon: float, rng: np.random.Generator
     return worst
 
 
-def check_privacy_gumbel(seed: int = 3) -> VerifyResult:
+def check_privacy_gumbel() -> VerifyResult:
     """Exact softmax pmf ratio stays below e^eps on perturbation grids."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     failures = []
     worst_rel = 0.0
     for eps in (0.5, 1.0, 2.0):
@@ -280,32 +283,26 @@ def check_privacy_gumbel(seed: int = 3) -> VerifyResult:
                         failures[0] if failures else f"worst ratio/e^eps = {worst_rel:.4f}")
 
 
-def check_privacy_laplace(seed: int = 4) -> VerifyResult:
+def check_privacy_oracle(kind: NoiseKind) -> VerifyResult:
+    """`rnm_pmf_oracle` pmf ratio stays below e^eps on perturbation grids,
+    for the Laplace or Exponential family."""
     worst = 0.0
     for eps in (0.5, 1.0, 2.0):
-        ratio = _oracle_ratio_grid(NoiseKind.LAPLACE, eps, np.random.default_rng(seed))
+        ratio = _oracle_ratio_grid(kind, eps, np.random.default_rng(4))
         worst = max(worst, ratio / (math.exp(eps) + 1e-6))
-    return VerifyResult("privacy-laplace", worst <= 1.0,
+    return VerifyResult(f"privacy-{kind.value}", worst <= 1.0,
                         f"worst ratio/(e^eps+tol) = {worst:.4f}")
 
 
-def check_privacy_exponential(seed: int = 4) -> VerifyResult:
-    worst = 0.0
-    for eps in (0.5, 1.0, 2.0):
-        ratio = _oracle_ratio_grid(NoiseKind.EXPONENTIAL, eps, np.random.default_rng(seed))
-        worst = max(worst, ratio / (math.exp(eps) + 1e-6))
-    return VerifyResult("privacy-exponential", worst <= 1.0,
-                        f"worst ratio/(e^eps+tol) = {worst:.4f}")
-
-
-def check_resampling_effect(seed: int = 8, trials: int = 100_000) -> VerifyResult:
+def check_resampling_effect() -> VerifyResult:
     """On the two-action example, resampling forces the first selection to favor
     the optimal action; the no-resampling frequency is recorded, not asserted."""
+    trials = 100_000
     instance = paper_example_two_actions()
     spec_on = MechanismSpec(resample=1, noise=NoiseKind.NONE)
     spec_off = MechanismSpec(resample=0, noise=NoiseKind.NONE)
-    with_resample = selection_frequency(instance, spec_on, 1, trials, seed)[1]
-    without = selection_frequency(instance, spec_off, 1, trials, seed + 1)[1]
+    with_resample = selection_frequency(instance, spec_on, 1, trials, 8)[1]
+    without = selection_frequency(instance, spec_off, 1, trials, 9)[1]
     limit = 0.5 + binomial_band(0.5, trials)
     return VerifyResult(
         "resampling", with_resample <= limit,
@@ -314,7 +311,7 @@ def check_resampling_effect(seed: int = 8, trials: int = 100_000) -> VerifyResul
     )
 
 
-def check_laplace_shape(seed: int = 21, trials: int = 20_000) -> VerifyResult:
+def check_laplace_shape() -> VerifyResult:
     """Laplace noise on deterministic grid instances: regret * eps / ln^2 K shows
     no upward trend in K, i.e. the smallest K already attains the fitted constant."""
     eps = 1.0
@@ -323,7 +320,7 @@ def check_laplace_shape(seed: int = 21, trials: int = 20_000) -> VerifyResult:
     slack = {}
     for k in (8, 16, 32, 64):
         est = estimate_pseudoregret(uniform_grid_instance(k), spec, (1 << 30) - 1,
-                                    trials, seed + k)
+                                    20_000, 21 + k)
         normalized[k] = est.mean * eps / math.log(k) ** 2
         slack[k] = 3.0 * est.stderr * eps / math.log(k) ** 2
     fitted = normalized[8]
@@ -332,13 +329,14 @@ def check_laplace_shape(seed: int = 21, trials: int = 20_000) -> VerifyResult:
     return VerifyResult("laplace-shape", ok, f"regret*eps/ln^2K by K: {detail}")
 
 
-def check_noise_ks(seed: int = 600, samples: int = 100_000) -> VerifyResult:
+def check_noise_ks() -> VerifyResult:
     """Kolmogorov-Smirnov distance between sampler output and the analytic CDF."""
+    samples = 100_000
     worst = 0.0
     failures = []
     for i, kind in enumerate((NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL, NoiseKind.GUMBEL)):
         for scale in (0.5, 1.0, 2.0):
-            rng = RngStream(seed + 10 * i + int(scale * 4))
+            rng = RngStream(600 + 10 * i + int(scale * 4))
             xs = np.sort(noise_ppf(kind, rng.uniform(samples), scale))
             cdf = noise_cdf(kind, xs, scale)
             grid = np.arange(1, samples + 1) / samples
@@ -359,8 +357,8 @@ SUITES: Dict[str, Callable[[], VerifyResult]] = {
     "softmax-derivative": check_softmax_derivative,
     "softmax-series": check_softmax_series,
     "privacy-gumbel": check_privacy_gumbel,
-    "privacy-laplace": check_privacy_laplace,
-    "privacy-exponential": check_privacy_exponential,
+    "privacy-laplace": functools.partial(check_privacy_oracle, NoiseKind.LAPLACE),
+    "privacy-exponential": functools.partial(check_privacy_oracle, NoiseKind.EXPONENTIAL),
     "tails": check_tail_bounds,
     "resampling": check_resampling_effect,
     "laplace-shape": check_laplace_shape,

@@ -77,11 +77,6 @@ class TestRun:
         assert main(argv) == EXIT_USAGE
         assert "--eps" in capsys.readouterr().err
 
-    def test_bad_thread_count_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("DPEXPERTS_THREADS", "two")
-        assert main(["run", "--instance", "det:0,1", "--T", "7", "--trials", "5"]) == EXIT_USAGE
-        assert "DPEXPERTS_THREADS" in capsys.readouterr().err
-
 
 BERN_64 = "bern:" + ",".join(f"{0.5 + 0.001 * j:.3f}" for j in range(64))
 
@@ -117,6 +112,18 @@ class TestExact:
                      "--T", "3"]) == EXIT_OK
         expected = 0.5 * 0.1 + 2 * 0.1 * (0.5 * 0.4 + 0.5 * (0.4 * 0.5 + 0.6 * 0.5))
         assert f"{expected:.10f}" in capsys.readouterr().out
+
+    def test_lone_near_action_reaches_the_default_horizon(self, capsys):
+        # From epoch 32 on only action 0 survives pruning, and its pmf is one-hot.
+        assert main(["exact", "--instance", "bern:0.2,0.5", "--B", "1"]) == EXIT_OK
+        assert "5.0209271670" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["exact", "run"])
+    def test_epochs_past_2_to_the_63(self, command, capsys):
+        argv = [command, "--instance", "bern:0.2,0.5", "--B", "1", "--T", str((1 << 70) - 1)]
+        assert main(argv + (["--trials", "20"] if command == "run" else [])) == EXIT_OK
+        out = capsys.readouterr().out
+        assert ("5.0209271670" if command == "exact" else str((1 << 70) - 1)) in out
 
     def test_epoch_without_a_pmf_is_usage_error(self, capsys):
         argv = ["exact", "--instance", BERN_64, "--B", "1", "--noise", "laplace",

@@ -391,6 +391,20 @@ class TestEpochSelectionPmf:
         assert epoch_selection_pmf(inst, MechanismSpec(1, NoiseKind.LAPLACE, epsilon=1.0),
                                    8) is not None
 
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_one_surviving_action_is_one_hot_at_any_length(self, kind, monkeypatch):
+        # From 2^32 on the winner's binomial window is over PMF_MAX_VALUES,
+        # but the loser is pruned, so no binomial pmf is needed; 2^70
+        # overflows an int64 law column.
+        def unused(n, p):
+            raise AssertionError("binomial pmf built for a lone action")
+
+        monkeypatch.setattr(engine, "_binomial_pmf", unused)
+        inst = bernoulli_instance([0.2, 0.5])
+        for length in (1 << 40, 1 << 70):
+            pmf = epoch_selection_pmf(inst, _spec(1, kind, 1.0), length)
+            assert pmf.tolist() == [1.0, 0.0]
+
     def test_identical_laws_are_grouped_without_cost_in_k(self):
         # 299 actions share one Binomial law: the kernel integrates two laws,
         # and the shared one's probability is split evenly.

@@ -70,22 +70,17 @@ class TestSelectionFrequency:
 
 
 class TestSweep:
-    def _cells(self, horizons=(15, 31), **kwargs):
+    def _cells(self, horizons=(15, 31)):
         instances = [("a", bernoulli_instance([0.2, 0.6])),
                      ("b", deterministic_instance([0.0, 0.5]))]
         specs = [MechanismSpec(0, NoiseKind.GUMBEL, epsilon=e) for e in (0.5, 1.0)]
-        return sweep(instances, specs, list(horizons), trials=200, base_seed=77, **kwargs)
+        return sweep(instances, specs, list(horizons), trials=200, base_seed=77)
 
     def test_grid_order_and_ids(self):
         cells = self._cells()
         assert len(cells) == 8
         assert [c.run_id for c in cells] == list(range(8))
         assert [c.label for c in cells[:4]] == ["a"] * 4
-
-    def test_parallel_matches_sequential(self):
-        seq = self._cells(max_workers=1)
-        par = self._cells(max_workers=4)
-        assert [(c.run_id, c.estimate) for c in seq] == [(c.run_id, c.estimate) for c in par]
 
     def test_epoch_pmfs_computed_once_per_length(self, monkeypatch):
         calls = []
@@ -105,12 +100,6 @@ class TestSweep:
                  for c in cells]
         assert [c.estimate for c in cells] == alone
         assert [c.horizon for c in cells[:4]] == horizons
-
-    def test_env_var_controls_default_workers(self, monkeypatch):
-        monkeypatch.setenv("DPEXPERTS_THREADS", "3")
-        via_env = [(c.run_id, c.estimate) for c in self._cells()]
-        explicit = [(c.run_id, c.estimate) for c in self._cells(max_workers=3)]
-        assert via_env == explicit
 
 
 class TestCsv:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,14 @@ class TestInverseCdfs:
         med = gumbel_ppf(0.5, 1.0)
         assert med == pytest.approx(-math.log(math.log(2.0)))
         assert gumbel_cdf(med, 1.0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pdf_and_cdf_are_finite_and_quiet_far_out(self, kind):
+        z = np.array([-800.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (noise_pdf, noise_cdf):
+                assert np.all(np.isfinite(fn(kind, z, 1.0)))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_ppf_finite_at_clamped_endpoints(self, kind):
