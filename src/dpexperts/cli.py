@@ -91,7 +91,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     instances = _instances(args)
     specs = _mechanism_specs(args, _floats(args.eps, "--eps"))
     horizons = [_horizon(t) for t in _ints(args.T, "--T")]
-    cells = sweep(instances, specs, horizons, args.trials, args.seed)
+    try:
+        cells = sweep(instances, specs, horizons, args.trials, args.seed)
+    except OutOfRange as exc:
+        raise _UsageError(str(exc)) from exc
     if args.out:
         write_csv(cells, args.out)
     else:

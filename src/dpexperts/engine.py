@@ -11,6 +11,7 @@ from .core import (
     FiniteSupport,
     Instance,
     MechanismSpec,
+    OutOfRange,
     PointMass,
     RunRecord,
 )
@@ -215,8 +216,9 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     sqrt(n (BINOMIAL_LOG_CUT + log(n + 1)) / 2) of n q, and an action whose
     lowest possible score is more than PRUNE_SCALES noise scales (ties,
     without noise) above every other's highest is one
-    `lattice_selection_pmf` would prune anyway. When one action is left,
-    the pmf is one-hot on it, whatever its window.
+    `lattice_selection_pmf` would prune anyway. When every action left has
+    the same law, the pmf is uniform over them by exchangeability (one-hot
+    when one is left), whatever their window.
 
     Returns None where the random scores share no single lattice (a finite
     support with three or more atoms, or lattice steps or offsets that
@@ -242,8 +244,11 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     near = np.flatnonzero(
         centre - radius <= best + PRUNE_SCALES * spec.scale() + TIE_RTOL * (1.0 + abs(best)))
     pmf = np.zeros(instance.k)
-    if near.size == 1:
-        pmf[near] = 1.0
+    _, first, group, copies = np.unique(
+        np.stack([base[near], step[near], n[near], q[near]], axis=1), axis=0,
+        return_index=True, return_inverse=True, return_counts=True)
+    if copies.size == 1:
+        pmf[near] = 1.0 / near.size
         return pmf
     lattice = near[random[near]]
     if lattice.size == 0:
@@ -254,9 +259,6 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     if (np.any(np.abs(step[lattice] - unit) > LATTICE_RTOL * unit)
             or np.any(np.abs(whole - np.round(whole)) > LATTICE_ATOL_STEPS)):
         return None
-    _, first, group, copies = np.unique(
-        np.stack([base[near], step[near], n[near], q[near]], axis=1), axis=0,
-        return_index=True, return_inverse=True, return_counts=True)
     # The window runs from 61 noise scales below the best top to 45 above
     # the lowest score (`_lattice_hazard_pmf`), and each convolution also
     # spans the widest support.
@@ -297,7 +299,8 @@ def run_batch(instance: Instance, spec: MechanismSpec, horizon: int, trials: int
     Fallback: where `epoch_selection_pmf` returns None (scores on no single
     lattice, or an integration window over PMF_MAX_VALUES), the epoch
     samples its (trials, K) scores with `sample_scores` and selects with
-    `select_batch`.
+    `select_batch`; an epoch of 2^63 steps or more, whose counts overflow the
+    sampler's int64, raises OutOfRange naming it.
     """
     lengths = epoch_lengths(horizon)
     if pmfs is None:
@@ -311,6 +314,9 @@ def run_batch(instance: Instance, spec: MechanismSpec, horizon: int, trials: int
         if r < len(lengths):
             pmf = pmfs[r - 1]
             if pmf is None:
+                if length >= 1 << 63:
+                    raise OutOfRange(f"epoch {r} has no exact selection pmf, and its {length} "
+                                     "steps overflow the sampler's int64 counts")
                 scores = sample_scores(instance, spec.resample, length, trials, rng)
                 actions = select_batch(scores, spec, rng)
             else:

@@ -39,6 +39,12 @@ GL_ORDER = 12
 UNIT_PANELS = 8
 WIDE_PANEL = 3.0
 
+# `_lattice_hazard_pmf` under Gumbel noise: the midpoint rule over a period
+# is accurate to QUAD_TOL, bounded on the strip |Im o| < GUMBEL_STRIP (below
+# pi/2, where |F| <= 1).
+QUAD_TOL = 1e-13
+GUMBEL_STRIP = 1.4
+
 
 def _tie_mask(scores: np.ndarray, mins) -> np.ndarray:
     return scores <= mins + TIE_RTOL * (1.0 + np.abs(mins))
@@ -287,17 +293,45 @@ def _next_fft_size(n: int) -> int:
                for b in range(int(math.log(n, 3)) + 2))
 
 
+def _midpoint_count(h: float) -> int:
+    """Midpoint nodes per period of width h for Gumbel noise, from the bound
+    2 h M / (e^(2 pi a m / h) - 1) <= QUAD_TOL on the m-point midpoint rule
+    for an h-periodic integrand analytic with |.| <= M on |Im o| < a
+    (Trefethen and Weideman, SIAM Review 2014).
+
+    With a = GUMBEL_STRIP and c = cos a, |F(z)| = exp(-c' e^-Re z) <= 1 for
+    c' = cos Im z >= c, and |f(z)| <= phi(Re z) = e^-x exp(-c e^-x), which
+    integrates to 1/c and peaks at 1/(c e). A sum of the unimodal phi over a
+    lattice of spacing h is at most its integral over h plus its peak, so
+    M = (1/h + 1/e) / c. That gives m = 2 at h = 1/2, 4 at h = 1, and at
+    most max(1, ceil(4 h)) up to h = 41.
+    """
+    c = math.cos(GUMBEL_STRIP)
+    bound = 2.0 * (1.0 + h / math.e) / c
+    return max(1, math.ceil(h * math.log1p(bound / QUAD_TOL) / (2.0 * math.pi * GUMBEL_STRIP)))
+
+
 def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     """p_j = int f_{Y_j}(y) prod_{i != j} F_{Y_i}(y) dy in noise-scale units:
     lowest scores g (top of support min 0) and lattice step h.
 
     A lattice law's F_Y(y) = sum_k pmf[k] F(y + g + h k) is the pmf
     correlated with F sampled on a grid of spacing h. The period is anchored
-    at a lattice kink and split into panels at most min(h, 1) wide and at
-    each point's kink, so every Laplace or Exponential kink is a panel edge;
-    points are evaluated directly. With W = prod_i F_{Y_i}^copies_i,
-    p_j = int h_j W for h = f_Y / F_Y, summed over the in-period node
-    offsets o; memory stays (laws x periods) per offset.
+    at a lattice kink; points are evaluated directly. With
+    W = prod_i F_{Y_i}^copies_i, p_j = int h_j W for h = f_Y / F_Y, summed
+    over the in-period node offsets o; memory stays (laws x periods) per
+    offset.
+
+    Laplace and Exponential split the period into Gauss-Legendre panels at
+    most min(h, 1) wide and at each point's kink, so every kink is a panel
+    edge: the period sum has a kink at o = 0 and is not smooth across it.
+    Gumbel has no kinks. Summed over all periods, its integrand
+    G(o) = sum_n f_{Y_j} prod F_{Y_i} (o + h n) is h-periodic and analytic
+    in the strip |Im o| < pi/2, where |exp(-e^-z)| <= 1; the kernel drops
+    only the terms beyond the end cuts below, which are negligible at the
+    real nodes. So the midpoint rule, offsets (i + 1/2) h / m for i < m,
+    each of weight h / m, converges exponentially in m / h, and
+    `_midpoint_count` takes m from the rule's strip bound.
 
     Every lattice term's argument is z = o + h n with n an integer and
     0 < o < h, so n >= 0 exactly where z >= 0. Laplace and Exponential F is
@@ -367,18 +401,24 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
         upper = correlate(np.where(ahead, np.exp(-h * np.maximum(n, 0)), 0.0))
         if b:
             lower = correlate(np.where(ahead, 0.0, np.exp(h * np.minimum(n + 1, 0))))
-    edges = np.union1d(np.linspace(0.0, h, math.ceil(h) + 1), np.mod(-g[points] - anchor, h))
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    x, w = _gauss_legendre()
+    if kind is NoiseKind.GUMBEL:
+        m = _midpoint_count(h)
+        offsets = h * (np.arange(m) + 0.5) / m
+        weights = np.full(m, h / m)
+    else:
+        edges = np.union1d(np.linspace(0.0, h, math.ceil(h) + 1), np.mod(-g[points] - anchor, h))
+        mid = (edges[1:] + edges[:-1]) / 2.0
+        half = (edges[1:] - edges[:-1]) / 2.0
+        x, w = _gauss_legendre()
+        offsets = (mid[:, None] + half[:, None] * x).ravel()
+        weights = (half[:, None] * w).ravel()
     y_period = anchor + h * (first + np.arange(periods))
     laws = np.concatenate([lattice, points])
     many = copies[laws][:, None]
     shared = many[:, 0] > 1
     cdf = np.empty((laws.size, periods))
     hazard = np.empty((laws.size, periods))
-    for offset, weight in zip((mid[:, None] + half[:, None] * x).ravel(),
-                              (half[:, None] * w).ravel()):
+    for offset, weight in zip(offsets, weights):
         if kind is NoiseKind.GUMBEL:
             z = offset + h * n
             cdf[:lattice.size] = correlate(noise_cdf(kind, z, 1.0))

@@ -125,6 +125,22 @@ class TestExact:
         out = capsys.readouterr().out
         assert ("5.0209271670" if command == "exact" else str((1 << 70) - 1)) in out
 
+    @pytest.mark.parametrize("command", ["exact", "run"])
+    @pytest.mark.parametrize("setting", [["--B", "1"], ["--B", "0", "--noise", "none"]])
+    def test_tied_means_past_2_to_the_63(self, command, setting, capsys):
+        # From epoch 32 on both tied actions survive pruning and their window
+        # is over PMF_MAX_VALUES; by exchangeability each is picked w.p. 1/2.
+        argv = [command, "--instance", "bern:0.3,0.3", *setting, "--T", str((1 << 65) - 1)]
+        assert main(argv + (["--trials", "20"] if command == "run" else [])) == EXIT_OK
+
+    def test_sampled_epoch_past_2_to_the_63_is_usage_error(self, capsys):
+        # Close means: from epoch 32 on the epochs are sampled, and epoch 64's
+        # 2^63 steps overflow the sampler's int64 counts.
+        argv = ["run", "--instance", "bern:0.3,0.3000000001", "--B", "1",
+                "--T", str((1 << 65) - 1), "--trials", "20"]
+        assert main(argv) == EXIT_USAGE
+        assert "epoch 64 " in capsys.readouterr().err
+
     def test_epoch_without_a_pmf_is_usage_error(self, capsys):
         argv = ["exact", "--instance", BERN_64, "--B", "1", "--noise", "laplace",
                 "--eps", "0.01", "--T", "7"]

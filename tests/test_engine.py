@@ -326,6 +326,37 @@ class TestEpochSelectionPmf:
         assert abs(got[1] - expected) <= 1e-12
         assert abs(got.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("eps", [0.05, 1.0, 16.0])
+    def test_gumbel_matches_dense_grid_at_large_length(self, eps):
+        # No FFT and no node offsets: F_Y and f_Y straight from scipy's
+        # binomial pmfs on a y-grid of spacing 1/8 noise scales, integrated
+        # by the trapezoid rule. The lattice step is h = eps / 2 scales.
+        inst = bernoulli_instance([0.45, 0.5, 0.55])
+        length = 1024
+        h = eps / 2.0
+        count = np.arange(length + 1)
+        laws = [stats.binom.pmf(count, length, m) for m in inst.means]
+        laws = [(count[p > 1e-40], p[p > 1e-40]) for p in laws]
+        # Below y_lo the F_Y of the law with the lowest top is under exp(-e^5),
+        # which bounds every integrand's mass there; above y_hi every f_Y has
+        # under e^-40 of its mass.
+        y_lo = -h * min(k[-1] for k, _ in laws) - 5.0
+        y_hi = -h * min(k[0] for k, _ in laws) + 40.0
+        y = np.linspace(y_lo, y_hi, int(math.ceil(8.0 * (y_hi - y_lo))) + 1)
+        cdf = np.empty((inst.k, y.size))
+        pdf = np.empty((inst.k, y.size))
+        for i, (k, p) in enumerate(laws):
+            for lo in range(0, y.size, 2048):
+                t = np.exp(-np.maximum(y[lo:lo + 2048, None] + h * k, -700.0))
+                cdf[i, lo:lo + 2048] = np.exp(-t) @ p
+                pdf[i, lo:lo + 2048] = (t * np.exp(-t)) @ p
+        expected = np.empty(inst.k)
+        for j in range(inst.k):
+            integrand = pdf[j] * np.prod(np.delete(cdf, j, axis=0), axis=0)
+            expected[j] = np.trapezoid(integrand, y)
+        got = epoch_selection_pmf(inst, MechanismSpec(1, NoiseKind.GUMBEL, epsilon=eps), length)
+        assert np.abs(got - expected).max() <= 1e-13
+
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("spec_text,resample", [
         ("grid:K=8", 1), ("paper-example", 0), ("bern:0.2,0.5,0.8", 0)])
@@ -395,15 +426,16 @@ class TestEpochSelectionPmf:
     def test_one_surviving_action_is_one_hot_at_any_length(self, kind, monkeypatch):
         # From 2^32 on the winner's binomial window is over PMF_MAX_VALUES,
         # but the loser is pruned, so no binomial pmf is needed; 2^70
-        # overflows an int64 law column.
+        # overflows an int64 law column. Tied survivors share one law, so
+        # they are uniform by exchangeability, with no pmf either.
         def unused(n, p):
-            raise AssertionError("binomial pmf built for a lone action")
+            raise AssertionError("binomial pmf built for exchangeable actions")
 
         monkeypatch.setattr(engine, "_binomial_pmf", unused)
-        inst = bernoulli_instance([0.2, 0.5])
-        for length in (1 << 40, 1 << 70):
-            pmf = epoch_selection_pmf(inst, _spec(1, kind, 1.0), length)
-            assert pmf.tolist() == [1.0, 0.0]
+        for means, expected in (([0.2, 0.5], [1.0, 0.0]), ([0.3, 0.9, 0.3], [0.5, 0.0, 0.5])):
+            inst = bernoulli_instance(means)
+            for length in (1 << 40, 1 << 70):
+                assert epoch_selection_pmf(inst, _spec(1, kind, 1.0), length).tolist() == expected
 
     def test_identical_laws_are_grouped_without_cost_in_k(self):
         # 299 actions share one Binomial law: the kernel integrates two laws,
