@@ -9,7 +9,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Instance, MechanismSpec, RegretEstimate
+from .core import Instance, MechanismSpec, OutOfRange, RegretEstimate
 from .engine import epoch_pmfs, run_batch, sample_scores
 from .mechanism import select_batch
 from .noise import RngStream, derive_seed
@@ -63,7 +63,8 @@ def sweep(instances: Sequence[Tuple[str, Instance]], specs: Sequence[MechanismSp
 
     Each cell draws from its own derived seed. Each (instance, spec) pair
     computes its epoch pmfs once, for the largest horizon, and every
-    horizon's cell samples from them.
+    horizon's cell samples from them. An OutOfRange from a cell is raised
+    again with the instance label in front.
     """
     longest = max(horizons, default=1)
     cells = []
@@ -72,7 +73,11 @@ def sweep(instances: Sequence[Tuple[str, Instance]], specs: Sequence[MechanismSp
         pmfs = epoch_pmfs(instance, spec, longest)
         for run_id, horizon in enumerate(horizons, start=idx * len(horizons)):
             seed = derive_seed(base_seed, run_id)
-            estimate = estimate_pseudoregret(instance, spec, horizon, trials, seed, pmfs=pmfs)
+            try:
+                estimate = estimate_pseudoregret(instance, spec, horizon, trials, seed,
+                                                 pmfs=pmfs)
+            except OutOfRange as exc:
+                raise OutOfRange(f"{label}: {exc}") from exc
             cells.append(SweepCell(run_id=run_id, label=label, instance=instance, spec=spec,
                                    horizon=horizon, trials=trials, estimate=estimate,
                                    seed=seed))

@@ -42,6 +42,8 @@ def worst_nonprivate_instance(k: int, delta_min: float) -> Instance:
     """Point-mass means (0, delta, ..., delta): hardest shape without privacy."""
     if k < 2:
         raise BadK(f"needs K >= 2, got {k}")
+    if not (0.0 < delta_min <= 1.0):
+        raise OutOfRange("delta_min must lie in (0, 1]")
     means = np.full(k, delta_min)
     means[0] = 0.0
     return deterministic_instance(means)
@@ -70,13 +72,16 @@ def bernoulli_instance(means) -> Instance:
     return make_instance([Bernoulli(float(m)) for m in means])
 
 
-def _parse_kv(body: str, spec: str) -> dict:
+def _parse_kv(body: str, spec: str, keys: tuple) -> dict:
     out = {}
     for part in body.split(","):
         if "=" not in part:
             raise InstanceSpecError(f"expected key=value in {spec!r}")
-        key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (side.strip() for side in part.split("=", 1))
+        if key not in keys or key in out:
+            raise InstanceSpecError(f"unknown or repeated key {key!r} in {spec!r}; "
+                                    f"expected {', '.join(keys)} once each")
+        out[key] = value
     return out
 
 
@@ -96,13 +101,13 @@ def parse_instance_spec(spec: str) -> Instance:
         if head == "bern":
             return bernoulli_instance([float(v) for v in body.split(",") if v != ""])
         if head == "grid":
-            kv = _parse_kv(body, spec)
+            kv = _parse_kv(body, spec, ("K",))
             return uniform_grid_instance(int(kv["K"]))
         if head == "lower-bound":
-            kv = _parse_kv(body, spec)
+            kv = _parse_kv(body, spec, ("K", "delta", "l"))
             return lower_bound_family(int(kv["K"]), float(kv["delta"]), int(kv["l"]))
         if head == "worst-np":
-            kv = _parse_kv(body, spec)
+            kv = _parse_kv(body, spec, ("K", "delta"))
             return worst_nonprivate_instance(int(kv["K"]), float(kv["delta"]))
     except (KeyError, ValueError) as exc:
         if isinstance(exc, InstanceSpecError):

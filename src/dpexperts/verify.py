@@ -1,9 +1,10 @@
 """Named verification suites behind the CLI `verify` command.
 
-Each suite checks one family of numeric claims (selection-frequency
+Each suite checks one family of numeric claims (selection-probability
 monotonicity, tail bounds, privacy ratios, exact-vs-simulated agreement,
 scaling shapes, ...) and returns a pass/fail result with a short detail line.
-The acceptance tests call these same functions.
+Selection-probability claims read exact epoch pmfs, and `exact-vs-mc` checks
+the samplers against them. The acceptance tests call these same functions.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .analysis import (
     tail_bound,
 )
 from .core import MechanismSpec, NoiseKind
-from .engine import _binomial_pmf
+from .engine import _binomial_pmf, epoch_selection_pmf
 from .harness import estimate_pseudoregret, selection_frequency
 from .instances import (
     bernoulli_instance,
@@ -44,12 +45,6 @@ class VerifyResult:
     name: str
     passed: bool
     detail: str
-
-
-def binomial_band(freq: float, trials: int) -> float:
-    """3-sigma normal-approximation band for an empirical frequency."""
-    p = min(max(freq, 0.0), 1.0)
-    return 3.0 * math.sqrt(p * (1.0 - p) / trials) + 3.0 / trials
 
 
 def exact_det_gumbel_regret(means, epsilon: float, big_r: int) -> float:
@@ -71,9 +66,11 @@ def binomial_cdf(n: int, p: float) -> np.ndarray:
 
 
 def check_exact_vs_mc() -> VerifyResult:
-    """Monte Carlo pseudoregret (no resampling, deterministic losses) agrees
-    with the exact calculator within 3 stderr on random small cells, the noise
-    family cycling Gumbel, Laplace, Exponential by cell.
+    """Monte Carlo pseudoregret agrees with the exact calculator within
+    3 stderr on random small cells: 10 deterministic cells at B = 0, the
+    noise family cycling Gumbel, Laplace, Exponential, then one Bernoulli
+    cell at B = 1 per noise kind. The one suite that checks the score and
+    selection samplers against the exact pmfs.
 
     The Monte Carlo side is built from `selection_frequency`, which gives
     every trial its own score row and selects with real noise. `run_batch`
@@ -87,15 +84,18 @@ def check_exact_vs_mc() -> VerifyResult:
     seed, trials = 20240801, 100_000
     rng = np.random.default_rng(seed)
     families = (NoiseKind.GUMBEL, NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL)
+    cells = ([(deterministic_instance, 0, families[i % 3]) for i in range(10)]
+             + [(bernoulli_instance, 1, kind) for kind in NoiseKind])
     worst = 0.0
     failures = []
-    for i in range(10):
+    for i, (build, resample, kind) in enumerate(cells):
         k = int(rng.integers(2, 5))
         means = np.round(rng.uniform(0.0, 1.0, size=k), 3)
         eps = float(rng.choice([0.5, 1.0, 2.0]))
         big_r = int(rng.integers(2, 7))
-        spec = MechanismSpec(resample=0, noise=families[i % 3], epsilon=eps)
-        instance = deterministic_instance(means)
+        spec = MechanismSpec(resample=resample, noise=kind,
+                             epsilon=0.0 if kind is NoiseKind.NONE else eps)
+        instance = build(means)
         exact = math.fsum(exact_regret_epochs(instance, spec, (1 << big_r) - 1))
         gaps = instance.gaps
         mean, var = float(gaps.mean()), 0.0
@@ -108,10 +108,10 @@ def check_exact_vs_mc() -> VerifyResult:
         gap = abs(mean - exact)
         worst = max(worst, gap / slack)
         if gap > slack:
-            failures.append(f"cell {i} ({spec.noise.value}): "
+            failures.append(f"cell {i} (B={resample}, {kind.value}): "
                             f"|{mean:.4f} - {exact:.4f}| > {slack:.4f}")
-    detail = (f"{len(failures)} of 10 cells off, first {failures[0]}" if failures
-              else f"10 cells, worst |diff|/3stderr = {worst:.2f}")
+    detail = (f"{len(failures)} of {len(cells)} cells off, first {failures[0]}" if failures
+              else f"{len(cells)} cells, worst |diff|/3stderr = {worst:.2f}")
     return VerifyResult("exact-vs-mc", not failures, detail)
 
 
@@ -139,63 +139,53 @@ def check_shape_eps() -> VerifyResult:
 
 
 def check_t_independence() -> VerifyResult:
-    """Regret with resampling has converged: estimates at T=2^12-1 and 2^16-1
-    differ by less than 3 combined stderr for every noise family."""
+    """Regret with resampling is T-independent: at T = 2^16 - 1 the exact
+    contributions of epochs 13-16 carry less than 1e-9 of the total, for
+    every noise family."""
     instance = bernoulli_instance([0.1, 0.3, 0.5, 0.7])
-    failures = []
+    shares = []
     details = []
     for kind in (NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL, NoiseKind.GUMBEL):
         spec = MechanismSpec(resample=1, noise=kind, epsilon=1.0)
-        short = estimate_pseudoregret(instance, spec, (1 << 12) - 1, 10_000, 77)
-        long = estimate_pseudoregret(instance, spec, (1 << 16) - 1, 10_000, 78)
-        band = 3.0 * math.hypot(short.stderr, long.stderr)
-        diff = abs(short.mean - long.mean)
-        details.append(f"{kind.value}: |{short.mean:.3f}-{long.mean:.3f}|={diff:.3f} vs {band:.3f}")
-        if diff >= band:
-            failures.append(kind.value)
-    return VerifyResult("t-independence", not failures, "; ".join(details))
+        contributions = exact_regret_epochs(instance, spec, (1 << 16) - 1)
+        total = math.fsum(contributions)
+        shares.append(math.fsum(contributions[12:]) / total)
+        details.append(f"{kind.value}: {total:.3f}, epochs 13-16 share {shares[-1]:.1e}")
+    return VerifyResult("t-independence", max(shares) < 1e-9, "; ".join(details))
 
 
 def check_monotonicity() -> VerifyResult:
-    """With resampling, selection frequencies at epoch 6 are nonincreasing in the
-    mean ordering and bounded by 1/j, for all three noise families."""
-    trials = 100_000
+    """With resampling, the exact selection pmf at epoch 6 is nonincreasing in
+    the mean ordering and bounded by 1/j, for all three noise families."""
     instance = bernoulli_instance([0.2, 0.5, 0.8])
     failures = []
     for kind in (NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL, NoiseKind.GUMBEL):
         spec = MechanismSpec(resample=1, noise=kind, epsilon=1.0)
-        freq = selection_frequency(instance, spec, 6, trials, 5150)
-        for j in range(len(freq) - 1):
-            band = 3.0 * math.sqrt(
-                (freq[j] * (1 - freq[j]) + freq[j + 1] * (1 - freq[j + 1])) / trials
-            )
-            if freq[j + 1] > freq[j] + band:
-                failures.append(f"{kind.value}: freq not nonincreasing at {j}")
-        for j in range(len(freq)):
-            if freq[j] > 1.0 / (j + 1) + binomial_band(freq[j], trials):
-                failures.append(f"{kind.value}: freq({j + 1}) = {freq[j]:.4f} > 1/{j + 1}")
+        pmf = epoch_selection_pmf(instance, spec, 1 << 5)
+        # p_j <= 1/j, and p_j <= p_{j-1} from j = 2 on.
+        bound = np.minimum(1.0 / np.arange(1, pmf.size + 1), np.append(1.0, pmf[:-1]))
+        failures += [f"{kind.value}: pmf({j + 1}) = {pmf[j]:.4f} > {bound[j]:.4f}"
+                     for j in np.flatnonzero(pmf > bound)]
     return VerifyResult("monotonicity", not failures,
-                        failures[0] if failures else "3 kinds x 3 actions within bands")
+                        failures[0] if failures else "3 kinds x 3 actions nonincreasing, <= 1/j")
 
 
 def check_tail_bounds() -> VerifyResult:
-    """Empirical selection probability of the gap-0.5 action stays below the
+    """The exact selection probability of the gap-0.5 action stays below the
     analytic tail bound for the Exponential and Gumbel families."""
-    trials = 100_000
     instance = bernoulli_instance([0.1, 0.6])
     failures = []
     worst = 0.0
     for kind in (NoiseKind.EXPONENTIAL, NoiseKind.GUMBEL):
         spec = MechanismSpec(resample=1, noise=kind, epsilon=1.0)
         for r in range(4, 9):
-            freq = selection_frequency(instance, spec, r, trials, 90 + r)[1]
+            p = epoch_selection_pmf(instance, spec, 1 << (r - 1))[1]
             bound = min(1.0, tail_bound(kind, r, 0.5, 1.0))
-            limit = bound + binomial_band(bound, trials)
-            worst = max(worst, freq / limit)
-            if freq > limit:
-                failures.append(f"{kind.value} r={r}: {freq:.5f} > {limit:.5f}")
+            worst = max(worst, p / bound)
+            if p > bound:
+                failures.append(f"{kind.value} r={r}: {p:.5f} > {bound:.5f}")
     return VerifyResult("tails", not failures,
-                        failures[0] if failures else f"worst freq/limit = {worst:.3f}")
+                        failures[0] if failures else f"worst p/bound = {worst:.3f}")
 
 
 def check_binomial_grid() -> VerifyResult:
@@ -296,17 +286,14 @@ def check_privacy_oracle(kind: NoiseKind) -> VerifyResult:
 
 def check_resampling_effect() -> VerifyResult:
     """On the two-action example, resampling forces the first selection to favor
-    the optimal action; the no-resampling frequency is recorded, not asserted."""
-    trials = 100_000
+    the optimal action; the no-resampling probability is recorded, not asserted."""
     instance = paper_example_two_actions()
-    spec_on = MechanismSpec(resample=1, noise=NoiseKind.NONE)
-    spec_off = MechanismSpec(resample=0, noise=NoiseKind.NONE)
-    with_resample = selection_frequency(instance, spec_on, 1, trials, 8)[1]
-    without = selection_frequency(instance, spec_off, 1, trials, 9)[1]
-    limit = 0.5 + binomial_band(0.5, trials)
+    with_resample, without = (
+        epoch_selection_pmf(instance, MechanismSpec(resample=b, noise=NoiseKind.NONE), 1)[1]
+        for b in (1, 0))
     return VerifyResult(
-        "resampling", with_resample <= limit,
-        f"P[first pick suboptimal]: B=1 {with_resample:.4f} (<= {limit:.4f}); "
+        "resampling", with_resample <= 0.5,
+        f"P[first pick suboptimal]: B=1 {with_resample:.4f} (<= 0.5); "
         f"B=0 {without:.4f} (recorded only)",
     )
 

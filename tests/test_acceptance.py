@@ -3,10 +3,12 @@
 Each criterion runs one named verification suite, prints a single pass/fail
 line with the suite's detail and wall time, and asserts both the outcome and
 the runtime budget. Criterion 1 compares Monte Carlo on distinct score rows,
-which draws real noise, with the exact selection pmf for every noise family,
-and must fail when that pmf is wrong. Criterion 8 is split by noise family;
-every family runs at scale 2/eps and must meet e^eps under per-coordinate
-perturbations in {-1, 0, 1}.
+which draws real noise, with the exact selection pmf for every noise kind, at
+B=0 and B=1, and must fail when that pmf is wrong. It is the one check of the
+score and selection samplers; criteria 4, 5, 9 and 10 read the exact pmfs.
+Criterion 8 is split by noise family; every family runs at scale 2/eps and
+must meet e^eps under per-coordinate perturbations in {-1, 0, 1}. Criteria 11
+and 12 sample regret and noise.
 """
 import time
 
@@ -28,6 +30,8 @@ BUDGETS = {
     "privacy-exponential": 60.0,
     "tails": 120.0,
     "resampling": 60.0,
+    "laplace-shape": 30.0,
+    "noise-ks": 10.0,
 }
 
 
@@ -45,22 +49,29 @@ def test_criterion_01_exact_vs_monte_carlo():
     _run("criterion 1: exact vs Monte Carlo agreement, every noise family", "exact-vs-mc")
 
 
-# A wrong exact pmf and the cells of the families it serves:
-# the softmax at exponent -G eps instead of -G eps / 2 (Gumbel, 4 cells), and
-# the Laplace/Exponential kernel on doubled gaps (6 cells).
+# A wrong exact pmf, the number of the 14 cells it fails, and the resampling
+# bit of the first: the softmax at exponent -G eps instead of -G eps / 2 and
+# the Laplace/Exponential kernel on doubled gaps fail deterministic B=0 cells;
+# the lattice kernel on doubled scores and step, and the tie split with its
+# laws reversed, fail Bernoulli B=1 cells.
 PMF_MUTANTS = {
-    "log_gumbel_selection_pmf": (lambda f: lambda scores, eps: f(scores, 2.0 * eps), 4),
-    "_hazard_pmf": (lambda f: lambda g, kind: f(2.0 * g, kind), 6),
+    "log_gumbel_selection_pmf": (lambda f: lambda scores, eps: f(scores, 2.0 * eps), 4, 0),
+    "_hazard_pmf": (lambda f: lambda g, kind: f(2.0 * g, kind), 6, 0),
+    "_lattice_hazard_pmf": (lambda f: lambda g, pmfs, sizes, h, copies, spec:
+                            f(2.0 * g, pmfs, sizes, 2.0 * h, copies, spec), 3, 1),
+    "_lattice_tie_pmf": (lambda f: lambda lows, pmfs, sizes, step, copies, best:
+                         f(lows[::-1], pmfs[::-1], sizes[::-1], step, copies[::-1], best), 1, 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PMF_MUTANTS))
 def test_criterion_01_fails_under_a_wrong_pmf(monkeypatch, name):
-    mutate, cells = PMF_MUTANTS[name]
+    mutate, cells, resample = PMF_MUTANTS[name]
     monkeypatch.setattr(mechanism, name, mutate(getattr(mechanism, name)))
     result = verify.SUITES["exact-vs-mc"]()
     assert not result.passed
-    assert result.detail.startswith(f"{cells} of 10 cells off")
+    assert result.detail.startswith(f"{cells} of 14 cells off, first cell ")
+    assert f"(B={resample}, " in result.detail
 
 
 def test_criterion_02_log_k_scaling():
@@ -76,7 +87,7 @@ def test_criterion_04_horizon_independence():
 
 
 def test_criterion_05_selection_frequency_monotone():
-    _run("criterion 5: selection frequencies monotone, <= 1/j", "monotonicity")
+    _run("criterion 5: exact selection pmf monotone, <= 1/j", "monotonicity")
 
 
 def test_criterion_06_binomial_cdf_monotone_grid():
@@ -105,8 +116,16 @@ def test_criterion_08c_privacy_ratio_exponential():
 
 
 def test_criterion_09_selection_tail_bounds():
-    _run("criterion 9: empirical tails below analytic bounds", "tails")
+    _run("criterion 9: exact selection tails below analytic bounds", "tails")
 
 
 def test_criterion_10_resampling_first_selection():
     _run("criterion 10: resampling caps the first suboptimal pick at 1/2", "resampling")
+
+
+def test_criterion_11_laplace_regret_shape_in_k():
+    _run("criterion 11: Laplace regret*eps/ln^2 K shows no upward trend in K", "laplace-shape")
+
+
+def test_criterion_12_noise_sampler_matches_its_cdf():
+    _run("criterion 12: noise samples within KS distance 0.01 of the analytic CDF", "noise-ks")

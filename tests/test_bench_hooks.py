@@ -1,9 +1,11 @@
 """The benchmark's traced pass wraps program functions by module attribute
-name, with getattr and no default. Instrumenting here makes the removal or
-renaming of any wrapped name fail this test instead of `--trace 1`."""
+name, with getattr and no default, and its verify-all capture replaces two
+`verify` attributes directly. Instrumenting and capturing here makes the
+removal or renaming of any of those names fail this test instead of the
+benchmark."""
 import importlib
 
-from dpexperts import noise
+from dpexperts import noise, verify
 
 MODULES = ("analysis", "core", "engine", "harness", "instances", "mechanism", "noise", "verify")
 
@@ -19,3 +21,14 @@ def test_every_traced_name_exists(bench_module):
     finally:
         traced.unwrap()
     assert noise.RngStream.uniform is uniform
+
+
+def test_capture_replaces_and_restores_the_verify_hooks(bench_module):
+    saved = (verify.estimate_pseudoregret, verify.rnm_pmf_oracle)
+    capture = bench_module("run").Capture(verify)
+    try:
+        assert verify.estimate_pseudoregret is not saved[0]
+        assert verify.rnm_pmf_oracle is not saved[1]
+    finally:
+        capture.close()
+    assert (verify.estimate_pseudoregret, verify.rnm_pmf_oracle) == saved

@@ -44,6 +44,9 @@ class TestRun:
         ["run", "--instance", "det:0,1", "--eps", "x"],
         ["run"],
         ["frobnicate"],
+        ["run", "--instance", "lower-bound:K=16,delta=0.1,l=3,x=2"],
+        ["run", "--instance", "grid:K=8,K=9"],
+        ["run", "--instance", "worst-np:K=8,delta=0"],
     ])
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
@@ -134,12 +137,13 @@ class TestExact:
         assert main(argv + (["--trials", "20"] if command == "run" else [])) == EXIT_OK
 
     def test_sampled_epoch_past_2_to_the_63_is_usage_error(self, capsys):
-        # Close means: from epoch 32 on the epochs are sampled, and epoch 64's
-        # 2^63 steps overflow the sampler's int64 counts.
-        argv = ["run", "--instance", "bern:0.3,0.3000000001", "--B", "1",
-                "--T", str((1 << 65) - 1), "--trials", "20"]
+        # Close means: from epoch 30 on the epochs are sampled, and epoch 64's
+        # 2^63 steps overflow the sampler's int64 counts. The message names
+        # the instance that failed, not the one before it.
+        argv = ["run", "--instance", "bern:0.2,0.5", "--instance", "bern:0.3,0.3000000001",
+                "--B", "1", "--T", str((1 << 65) - 1), "--trials", "20"]
         assert main(argv) == EXIT_USAGE
-        assert "epoch 64 " in capsys.readouterr().err
+        assert "bern:0.3,0.3000000001: epoch 64 " in capsys.readouterr().err
 
     def test_epoch_without_a_pmf_is_usage_error(self, capsys):
         argv = ["exact", "--instance", BERN_64, "--B", "1", "--noise", "laplace",

@@ -50,6 +50,10 @@ class TestConstructors:
         assert np.allclose(inst.means, [0.0, 0.25, 0.25, 0.25])
         with pytest.raises(BadK):
             worst_nonprivate_instance(1, 0.25)
+        assert np.allclose(worst_nonprivate_instance(3, 1.0).means, [0.0, 1.0, 1.0])
+        for delta in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(OutOfRange):
+                worst_nonprivate_instance(8, delta)
 
     @given(st.integers(min_value=2, max_value=200))
     def test_uniform_grid_spans_unit_interval(self, k):
@@ -87,6 +91,18 @@ class TestSpecGrammar:
     def test_bad_specs_raise(self, bad):
         with pytest.raises((InstanceSpecError, OutOfRange, BadK, ValueError)):
             parse_instance_spec(bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("lower-bound:K=16,delta=0.1,l=3,x=2", "repeated key 'x'"),
+        ("grid:K=8,k=9", "repeated key 'k'"),
+        ("grid:K=8,K=9", "repeated key 'K'"),
+        ("worst-np:K=8,delta=0.1,delta=0.2", "repeated key 'delta'"),
+        ("worst-np:K=8,delta=0", "delta_min must lie in (0, 1]"),
+    ])
+    def test_keyword_errors_name_the_fault(self, bad, message):
+        with pytest.raises(InstanceSpecError) as info:
+            parse_instance_spec(bad)
+        assert message in str(info.value)
 
     def test_round_trip_with_constructors(self):
         assert np.array_equal(parse_instance_spec("grid:K=8").means,
