@@ -31,11 +31,9 @@ class _UsageError(Exception):
 
 def _floats(text: str, option: str) -> List[float]:
     try:
-        vals = [float(v) for v in text.split(",") if v != ""]
+        vals = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"{option}: bad numeric list {text!r}") from exc
-    if not vals:
-        raise _UsageError(f"{option}: empty numeric list {text!r}")
     bad = [v for v in vals if not math.isfinite(v)]
     if bad:
         raise _UsageError(f"{option}: {bad[0]} is not a finite number")
@@ -51,12 +49,9 @@ def _positive(value: float, option: str) -> float:
 def _ints(text: str, option: str) -> List[int]:
     # int() of each decimal; a float would round values from 2^53 on.
     try:
-        vals = [int(v) for v in text.split(",") if v != ""]
+        return [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"{option}: bad integer list {text!r}") from exc
-    if not vals:
-        raise _UsageError(f"{option}: empty integer list {text!r}")
-    return vals
 
 
 def _horizon(t: int) -> int:

@@ -292,9 +292,12 @@ def run_batch(instance: Instance, spec: MechanismSpec, horizon: int, trials: int
     selection entering epoch r depends only on epoch r-1's scores and the
     per-epoch selections are independent across epochs. Each epoch's picks
     are drawn from its exact selection pmf, `epoch_selection_pmf`, one
-    uniform per trial, so the per-trial regret has the distribution of
-    looping `run_rnm_ftnl` (checked against it in the test suite). `pmfs`,
-    `epoch_pmfs` of this or a larger horizon, saves recomputing them.
+    uniform per trial through its inverse CDF (`sample_pmf`, a binary
+    search over the pmf's support whose picks are bitwise those of
+    `np.searchsorted` on the whole cumulative sum), so the per-trial regret
+    has the distribution of looping `run_rnm_ftnl` (checked against it in
+    the test suite). `pmfs`, `epoch_pmfs` of this or a larger horizon, saves
+    recomputing them.
 
     Fallback: where `epoch_selection_pmf` returns None (scores on no single
     lattice, or an integration window over PMF_MAX_VALUES), the epoch

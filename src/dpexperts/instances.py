@@ -97,9 +97,9 @@ def parse_instance_spec(spec: str) -> Instance:
             return paper_example_two_actions()
         head, _, body = spec.partition(":")
         if head == "det":
-            return deterministic_instance([float(v) for v in body.split(",") if v != ""])
+            return deterministic_instance([float(v) for v in body.split(",")])
         if head == "bern":
-            return bernoulli_instance([float(v) for v in body.split(",") if v != ""])
+            return bernoulli_instance([float(v) for v in body.split(",")])
         if head == "grid":
             kv = _parse_kv(body, spec, ("K",))
             return uniform_grid_instance(int(kv["K"]))

@@ -452,11 +452,48 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
 def sample_pmf(pmf: np.ndarray, n: int, rng: RngStream) -> np.ndarray:
     """n i.i.d. draws from a pmf, one uniform each through its inverse CDF.
 
-    A zero-probability entry adds nothing to cum, so no u lands on it.
+    Each draw picks the first entry whose cumulative sum exceeds x = u * total
+    (u < 1 makes x < total, so there is one). The cumulative sum rises only
+    at the support S, the nonzero entries, so that entry is S[c], where c
+    counts the partial sums of pmf[S] before the last that are at most x
+    (`_counts_at_most`). Adding a zero is exact, so these partial sums are
+    bitwise the full cumulative sum's at S, and the picks are bitwise
+    min(searchsorted(cumsum(pmf), x, "right"), K - 1).
     """
-    cum = np.cumsum(pmf)
-    return np.minimum(np.searchsorted(cum, rng.uniform(n) * cum[-1], side="right"),
-                      pmf.size - 1)
+    support = np.flatnonzero(pmf)
+    return support[_counts_at_most(np.cumsum(pmf[support]), n, rng)]
+
+
+def _counts_at_most(cum: np.ndarray, n: int, rng: RngStream) -> np.ndarray:
+    """For n draws x = u * cum[-1], u from one `rng.uniform(n)`, the number of
+    entries of cum[:-1] at most x, by a branchless binary search vectorised
+    over the draws.
+
+    edges is cum[:-1] padded with +inf to 2^depth entries. Pass t settles bit
+    depth - 1 - t of every count: with h = 2^(depth - 1 - t), x is compared
+    with edges[(2 count + 1) h - 1], entry `count` of the view
+    edges[h - 1::2h]. The first pass compares with a scalar (at depth 0 the
+    +inf, so every count is 0); later passes share one buffer of gathered
+    thresholds and one mask. take's mode="clip" clips nothing here, every
+    index being in range, and spares the copy of `out` that "raise" makes.
+    """
+    x = rng.uniform(n)
+    x *= cum[-1]
+    depth = (cum.size - 1).bit_length()
+    edges = np.full(1 << depth, np.inf)
+    edges[:cum.size - 1] = cum[:-1]
+    count = np.empty(n, dtype=np.intp)
+    np.less_equal(edges[(1 << depth >> 1) - 1], x, out=count)
+    if depth > 1:
+        edge = np.empty(n)
+        below = np.empty(n, dtype=bool)
+        for t in range(1, depth):
+            h = 1 << (depth - 1 - t)
+            edges[h - 1::2 * h].take(count, out=edge, mode="clip")
+            np.less_equal(edge, x, out=below)
+            count <<= 1
+            count += below
+    return count
 
 
 def log_gumbel_selection_pmf(scores: np.ndarray, epsilon: float) -> np.ndarray:

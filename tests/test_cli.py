@@ -47,6 +47,10 @@ class TestRun:
         ["run", "--instance", "lower-bound:K=16,delta=0.1,l=3,x=2"],
         ["run", "--instance", "grid:K=8,K=9"],
         ["run", "--instance", "worst-np:K=8,delta=0"],
+        ["run", "--instance", "bern:0.2,0.5,", "--T", "7"],
+        ["run", "--instance", "det:0,1", "--eps", "1,,2"],
+        ["run", "--instance", "det:0,1", "--eps", ""],
+        ["run", "--instance", "det:0,1", "--T", "7,"],
     ])
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
@@ -156,6 +160,7 @@ class TestExact:
         ["exact", "--instance", "det:0,1", "--eps", "0"],
         ["exact", "--instance", "det:0,1", "--T", "0"],
         ["exact", "--instance", "grid:K=1"],
+        ["exact", "--instance", "det:0,,1", "--T", "3"],
     ])
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == EXIT_USAGE

@@ -104,6 +104,13 @@ class TestSpecGrammar:
             parse_instance_spec(bad)
         assert message in str(info.value)
 
+    @pytest.mark.parametrize("bad", ["det:0,,1", "det:,0.5", "bern:0.2,0.5,", "bern:"])
+    def test_empty_list_entries_raise(self, bad):
+        # An empty entry is a typo, not a shorter list: it must not change K.
+        with pytest.raises(InstanceSpecError) as info:
+            parse_instance_spec(bad)
+        assert repr(bad) in str(info.value)
+
     def test_round_trip_with_constructors(self):
         assert np.array_equal(parse_instance_spec("grid:K=8").means,
                               uniform_grid_instance(8).means)

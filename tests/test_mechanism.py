@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dpexperts import mechanism
 from dpexperts.core import MechanismSpec, NoiseKind, OutOfRange
@@ -111,6 +112,50 @@ class TestBlockedSelection:
         assert np.array_equal(select_batch(scores, spec, rng),
                               _one_block_picks(scores, spec, expected))
         assert rng.generator.bit_generator.state == expected.generator.bit_generator.state
+
+
+SUPPORT_SIZES = [1, 2, 3] + [s for m in range(2, 13) for s in (1 << m, (1 << m) + 1) if s <= 4096]
+
+
+class TestSamplePmf:
+    @given(st.sampled_from(SUPPORT_SIZES), st.integers(0, 3), st.integers(0, 3),
+           st.integers(0, 2**32 - 1), st.integers(1, 100_000), st.booleans())
+    @example(1, 0, 0, 0, 1, False)  # one-hot
+    @example(1, 3, 0, 1, 100_000, False)  # one-hot, zeros in front
+    @example(1, 0, 3, 2, 7, False)  # one-hot, zeros behind
+    @example(4096, 2, 3, 3, 100_000, True)
+    @settings(max_examples=80, deadline=None)
+    def test_picks_are_bitwise_the_searchsorted_picks(self, size, lead, trail, seed, n, wide):
+        # `size` nonzero entries among zeros in front, inside and at the end.
+        # Wide weights span 2^-60..1, so many partial sums repeat, and a
+        # draw must pass a whole run of equal sums.
+        gen = np.random.default_rng(seed)
+        body = size + int(gen.integers(0, size + 1))
+        weights = gen.random(size) + 0.5
+        if wide:
+            weights = np.ldexp(weights, gen.integers(-60, 1, size))
+        pmf = np.zeros(lead + body + trail)
+        pmf[lead + np.sort(gen.choice(body, size, replace=False))] = weights
+        ours, ref = RngStream(seed), RngStream(seed)
+        picks = sample_pmf(pmf, n, ours)
+        cum = np.cumsum(pmf)
+        expected = np.minimum(np.searchsorted(cum, ref.uniform(n) * cum[-1], side="right"),
+                              pmf.size - 1)
+        assert picks.dtype == expected.dtype and np.array_equal(picks, expected)
+        assert ours.uniform() == ref.uniform()
+
+    def test_a_draw_on_a_partial_sum_picks_the_entry_after_it(self):
+        # Random uniforms almost never put x = u * total exactly on a partial
+        # sum; these do, every fourth draw, over a dyadic pmf whose sums are exact.
+        class Grid:
+            def uniform(self, n):
+                return np.arange(n) / n
+
+        pmf = np.zeros(13)
+        pmf[[1, 2, 4, 5, 7, 9, 10, 12]] = 0.125
+        cum = np.cumsum(pmf)
+        expected = np.searchsorted(cum, Grid().uniform(32) * cum[-1], side="right")
+        assert np.array_equal(sample_pmf(pmf, 32, Grid()), expected)
 
 
 class TestNoNoiseSelection:
