@@ -145,11 +145,13 @@ def cmd_plot(args: argparse.Namespace) -> int:
     axis_col = {"T": "T", "epsilon": "epsilon", "K": "K"}.get(args.x)
     if axis_col is None:
         raise _UsageError(f"unknown x axis {args.x!r}")
+    # Each K is its own instance, so a K axis joins instances into one series.
+    hidden = {axis_col, "instance"} if axis_col == "K" else {axis_col}
     series: dict = {}
     try:
         for row in rows:
             key_bits = [f"{c}={row[c]}" for c in ("instance", "B", "noise", "epsilon", "T")
-                        if c != axis_col]
+                        if c not in hidden]
             key = " ".join(key_bits)
             series.setdefault(key, []).append(
                 (float(row[axis_col]), float(row["regret_mean"])))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .core import MechanismSpec, NoiseKind, OutOfRange
-from .noise import RngStream, noise_cdf, noise_pdf, noise_ppf
+from .noise import PIECES, RngStream, noise_cdf, noise_pdf, noise_ppf
 
 # The pmf oracle is for small-instance verification only: its Laurent
 # expansion has up to 2K+1 terms of mixed sign, and cancellation grows with K.
@@ -109,27 +109,25 @@ def selection_pmf(scores: np.ndarray, spec: MechanismSpec) -> np.ndarray:
 def _log_cdf_sum(kind: NoiseKind, y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sum_i log F(y_n + g_i) for each node y_n, with unit-scale noise CDF F.
 
-    Gumbel's log F(z) = -e^-z sums to -e^-y sum_i e^-g_i. The other two
-    families are written through t = e^-z, z = y + g, an outer product
-    taken a chunk of actions at a time: Exponential F = 1 - t for z > 0 (the
-    only z evaluated); Laplace F = 1 - t/2 for z >= 0 and e^z / 2 =
-    e^min(z, 0) (1 - min(t, 1)/2) below, where the sum of the min(z, 0) over
-    i comes from prefix sums of the sorted g.
+    Gumbel's log F(z) = -e^-z sums to -e^-y sum_i e^-g_i. A `PIECES` law is
+    written through t = e^-z, z = y + g, an outer product taken a chunk of
+    actions at a time: F = 1 + d t for z >= 0, d the table's d there, and,
+    the law being continuous at 0, F = e^min(z, 0) (1 + d min(t, 1)) below,
+    where the sum of the min(z, 0) over i comes from prefix sums of the
+    sorted g. A law with no mass below 0 is evaluated only at z > 0.
     """
     if kind is NoiseKind.GUMBEL:
         return -np.exp(-y) * np.exp(-g).sum()
+    (_, d_lo), (_, d_hi) = PIECES[kind]
     total = np.zeros(y.size)
     cols = max(1, SELECT_BLOCK_VALUES // y.size)
     exp_y = np.exp(-y)
     for lo in range(0, g.size, cols):
         t = np.multiply.outer(exp_y, np.exp(-g[lo:lo + cols]))
-        if kind is NoiseKind.LAPLACE:
-            np.minimum(t, 1.0, out=t)
-            t *= -0.5
-        else:
-            np.negative(t, out=t)
+        np.minimum(t, 1.0, out=t)
+        t *= d_hi
         total += np.log1p(t, out=t).sum(axis=1)
-    if kind is NoiseKind.LAPLACE:
+    if d_lo:
         ordered = np.sort(g)
         below = np.searchsorted(ordered, -y)
         total += below * y + np.concatenate([[0.0], np.cumsum(ordered)])[below]
@@ -137,15 +135,14 @@ def _log_cdf_sum(kind: NoiseKind, y: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _reversed_hazard(kind: NoiseKind, y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """h(y_n + g_j) = f/F of unit-scale noise, as a (nodes, actions) matrix:
-    1/expm1(z) = t / (1 - t) for Exponential; 1 below z = 0 and
-    e^-z / (2 - e^-z) from it on for Laplace, i.e. min(t, 1) / (2 - min(t, 1))."""
+    """h(y_n + g_j) = f/F of a unit-scale `PIECES` law, as a (nodes, actions)
+    matrix: -d t / (1 + d t) for t = min(e^-z, 1) and d the table's d at
+    z >= 0. Below 0 that is 1 = f/F for Laplace; a law with no mass below 0
+    is evaluated only at z > 0."""
     t = np.multiply.outer(np.exp(-y), np.exp(-g))
-    if kind is NoiseKind.EXPONENTIAL:
-        t /= 1.0 - t
-        return t
     np.minimum(t, 1.0, out=t)
-    t /= 2.0 - t
+    t *= -PIECES[kind][1][1]
+    t /= 1.0 - t
     return t
 
 
@@ -161,13 +158,15 @@ def _lower_cut(kind: NoiseKind, part: np.ndarray) -> float:
     b(y) = sum_i log F(y + part_i) is at most LOG_CUT, for sorted part >= 0.
 
     b rises with y, and callers choose part so that b bounds the integrand
-    below the cut. Exponential starts at 0: callers shift so that some
-    factor F(y + 0) is 0, and so every integrand, below 0.
+    below the cut. A law with no mass below 0 starts at 0: callers shift so
+    that some factor F(y + 0) is 0, and so every integrand, below 0.
     """
-    # b(lo) <= log F(lo + part[0]), which is -61 - log 2 for Laplace and -61
-    # for Gumbel.
-    lo = {NoiseKind.EXPONENTIAL: 0.0, NoiseKind.LAPLACE: -part[0] - 61.0,
-          NoiseKind.GUMBEL: -part[0] - math.log(61.0)}[kind]
+    # b(lo) <= log F(lo + part[0]), which is -61 + log d for a law with mass
+    # d e^z below 0 and -61 for Gumbel.
+    if kind is NoiseKind.GUMBEL:
+        lo = -part[0] - math.log(61.0)
+    else:
+        lo = -part[0] - 61.0 if PIECES[kind][0][1] else 0.0
     for step in (4.0, 0.125):
         lo += step * np.count_nonzero(
             _log_cdf_sum(kind, lo + step * np.arange(1, 33), part) <= LOG_CUT)
@@ -182,15 +181,16 @@ def _quadrature_nodes(kind: NoiseKind, g: np.ndarray):
     smallest. b then bounds log prod_{i != j} F(y + g_i) from above for
     every j, so below the cut each integrand is under e^LOG_CUT f(y + g_j).
     Panels are one scale wide for UNIT_PANELS scales above the cut, then
-    WIDE_PANEL scales wide. Laplace's F has a kink at each y = -g_i, so its
-    panels are split there; Exponential's factors are analytic on the domain.
+    WIDE_PANEL scales wide. A law with mass below 0 has a kink at each
+    y = -g_i, so its panels are split there; one without has factors
+    analytic on the domain.
     """
     lo = _lower_cut(kind, np.sort(g)[1:CUT_ACTIONS + 1])
     unit = lo + np.arange(UNIT_PANELS + 1.0)
     edges = np.concatenate([unit[unit < PRUNE_SCALES],
                             np.arange(unit[-1] + WIDE_PANEL, PRUNE_SCALES, WIDE_PANEL),
                             [PRUNE_SCALES]])
-    if kind is NoiseKind.LAPLACE:
+    if PIECES[kind][0][1]:
         edges = np.union1d(edges, -g[(-g > lo) & (-g < PRUNE_SCALES)])
     mid = (edges[1:] + edges[:-1]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
@@ -335,7 +335,7 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
 
     Every lattice term's argument is z = o + h n with n an integer and
     0 < o < h, so n >= 0 exactly where z >= 0. Laplace and Exponential F is
-    1 + a e^-z above 0 and b e^z below (`_PIECES`), and f = F', so at
+    1 + a e^-z above 0 and b e^z below (`PIECES`), and f = F', so at
     offset o F_Y = T + a e^-o U + b e^(o - h) D and
     f_Y = -a e^-o U + b e^(o - h) D, from three correlations that do not
     depend on o: T = sum_{n >= 0} pmf, U = sum_{n >= 0} pmf e^(-h n) and
@@ -395,7 +395,7 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     n = base + np.arange(count)
     if kind is not NoiseKind.GUMBEL:
         # mass, upper and lower are the docstring's T, U and D.
-        (_, b, _), (_, a, _) = _PIECES[kind]["cdf"]
+        (_, b), (_, a) = PIECES[kind]
         ahead = n >= 0
         mass = correlate(ahead.astype(float))
         upper = correlate(np.where(ahead, np.exp(-h * np.maximum(n, 0)), 0.0))
@@ -509,21 +509,6 @@ def log_gumbel_selection_pmf(scores: np.ndarray, epsilon: float) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-# Unit-scale Laplace and Exponential noise, piecewise: on each side of 0 the
-# CDF is F(x) = c + d exp(sigma x) and the density f(x) = 0 + d exp(sigma x),
-# each given as ((c, d, sigma) for x < 0, (c, d, sigma) for x >= 0).
-_PIECES = {
-    NoiseKind.LAPLACE: {
-        "cdf": ((0.0, 0.5, 1), (1.0, -0.5, -1)),
-        "pdf": ((0.0, 0.5, 1), (0.0, 0.5, -1)),
-    },
-    NoiseKind.EXPONENTIAL: {
-        "cdf": ((0.0, 0.0, 1), (1.0, -1.0, -1)),
-        "pdf": ((0.0, 0.0, 1), (0.0, 1.0, -1)),
-    },
-}
-
-
 def _closed_form_pmf(scores: np.ndarray, kind: NoiseKind) -> np.ndarray:
     """p_j = int f(q) prod_{i != j} F(q + G_i - G_j) dq for unit-scale Laplace
     or Exponential noise, every j at once.
@@ -551,7 +536,9 @@ def _closed_form_pmf(scores: np.ndarray, kind: NoiseKind) -> np.ndarray:
     # Unbounded segments are anchored at their finite end: there, every term
     # that would grow towards the infinite end has coefficient zero.
     anchors = np.stack([np.where(np.isfinite(lo), lo, hi), np.where(np.isfinite(hi), hi, lo)])
-    pieces = _PIECES[kind]
+    rows = PIECES[kind]
+    # The density's rows: d e^-|x| on each side.
+    density = tuple((0.0, abs(d)) for _, d in rows)
 
     # coef[e, j, s, n + k]: coefficient of w^n in row j on segment s, anchored
     # at the segment's left (e = 0) or right (e = 1) end.
@@ -559,9 +546,10 @@ def _closed_form_pmf(scores: np.ndarray, kind: NoiseKind) -> np.ndarray:
     coef[..., k] = 1.0
     for col in range(k):
         shift = shifts[:, col:col + 1]
-        neg, pos = pieces["pdf" if col == 0 else "cdf"]
-        # The factor's argument q + shift is >= 0 on the whole segment or < 0 on it.
-        c, d, sigma = (np.where(-shift <= lo, p, n) for n, p in zip(neg, pos))
+        neg, pos = density if col == 0 else rows
+        # The factor's argument q + shift is >= 0 on the whole segment or < 0
+        # on it; e^-|x| is e^(sigma x) with sigma = 1 below 0 and -1 above.
+        c, d, sigma = (np.where(-shift <= lo, p, n) for n, p in zip((*neg, 1), (*pos, -1)))
         # d exp(sigma (q + shift)) = d exp(sigma (a + shift)) w^sigma, with an
         # exponent that is <= 0 at either end of the segment.
         term = d * np.exp(sigma * (anchors + shift))

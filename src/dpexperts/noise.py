@@ -1,4 +1,5 @@
-"""Seeded uniform streams and inverse-CDF sampling for the three noise families.
+"""Seeded uniform streams, inverse-CDF sampling for the three noise families,
+and their densities and CDFs.
 
 Everything is derived from a single uniform stream per RngStream so that sample
 sequences are bit-reproducible from the seed alone.
@@ -70,16 +71,16 @@ class RngStream:
         return min(int(self.uniform() * k), k - 1)
 
 
-# --- Laplace(beta): density 1/(2 beta) exp(-|x|/beta) ---
-
-def laplace_pdf(x, scale: float):
-    return np.exp(-np.abs(np.asarray(x, float)) / scale) / (2.0 * scale)
-
-
-def laplace_cdf(x, scale: float):
-    x = np.asarray(x, float)
-    half_tail = 0.5 * np.exp(-np.abs(x) / scale)
-    return np.where(x < 0.0, half_tail, 1.0 - half_tail)
+# --- Laplace and Exponential(beta), one table ---
+# At unit scale, F(x) = c + d e^-|x| and f(x) = |d| e^-|x| on each side of 0,
+# PIECES[kind] = ((c, d) for x < 0, (c, d) for x >= 0). A law has mass below
+# 0 exactly where its d there is not 0. This table is the one definition of
+# the two laws: every pmf kernel reads it, and the inverse CDFs below are
+# written independently of it, so that the samplers check it.
+PIECES = {
+    NoiseKind.LAPLACE: ((0.0, 0.5), (1.0, -0.5)),
+    NoiseKind.EXPONENTIAL: ((0.0, 0.0), (1.0, -1.0)),
+}
 
 
 def laplace_ppf(u, scale: float):
@@ -101,19 +102,6 @@ def laplace_ppf(u, scale: float):
     x *= scale
     x *= sign
     return x[()]
-
-
-# --- Exponential(beta): density (1/beta) exp(-x/beta) on x >= 0 ---
-# pdf and cdf exponentiate -|x|/beta, which never overflows below the support.
-
-def exponential_pdf(x, scale: float):
-    z = np.asarray(x, float) / scale
-    return np.where(z < 0.0, 0.0, np.exp(-np.abs(z))) / scale
-
-
-def exponential_cdf(x, scale: float):
-    z = np.asarray(x, float) / scale
-    return np.where(z < 0.0, 0.0, -np.expm1(-np.abs(z)))
 
 
 def exponential_ppf(u, scale: float):
@@ -152,26 +140,26 @@ _PPF = {
     NoiseKind.GUMBEL: gumbel_ppf,
 }
 
-_PDF = {
-    NoiseKind.LAPLACE: laplace_pdf,
-    NoiseKind.EXPONENTIAL: exponential_pdf,
-    NoiseKind.GUMBEL: gumbel_pdf,
-}
-
-_CDF = {
-    NoiseKind.LAPLACE: laplace_cdf,
-    NoiseKind.EXPONENTIAL: exponential_cdf,
-    NoiseKind.GUMBEL: gumbel_cdf,
-}
-
 
 def noise_ppf(kind: NoiseKind, u, scale: float):
     return _PPF[kind](u, scale)
 
 
 def noise_pdf(kind: NoiseKind, x, scale: float):
-    return _PDF[kind](x, scale)
+    if kind is NoiseKind.GUMBEL:
+        return gumbel_pdf(x, scale)
+    (_, d_lo), (_, d_hi) = PIECES[kind]
+    z = np.asarray(x, float) / scale
+    return np.where(z < 0.0, abs(d_lo), abs(d_hi)) * np.exp(-np.abs(z)) / scale
 
 
 def noise_cdf(kind: NoiseKind, x, scale: float):
-    return _CDF[kind](x, scale)
+    """A `PIECES` law's F is c + d e^z below 0, and F(0) + d expm1(-z) from 0
+    on, which keeps full relative accuracy where Exponential's F is near 0.
+    Both sides take e^-|z|, which never overflows."""
+    if kind is NoiseKind.GUMBEL:
+        return gumbel_cdf(x, scale)
+    (c_lo, d_lo), (c_hi, d_hi) = PIECES[kind]
+    z = np.asarray(x, float) / scale
+    tail = -np.abs(z)
+    return np.where(z < 0.0, c_lo + d_lo * np.exp(tail), (c_hi + d_hi) + d_hi * np.expm1(tail))

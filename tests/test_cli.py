@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import pytest
 
@@ -155,6 +156,17 @@ class TestExact:
         assert main(argv) == EXIT_USAGE
         assert "epoch 1 " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["laplace", "exponential", "gumbel"])
+    def test_steps_many_noise_scales_wide(self, noise, capsys):
+        # At eps = 1e300 a unit lattice step is 5e299 noise scales: `exact`
+        # refuses the epoch and names it, and `run` samples its scores.
+        argv = ["--instance", "bern:0.2,0.5", "--B", "1", "--noise", noise,
+                "--eps", "1e300", "--T", "7"]
+        assert main(["exact", *argv]) == EXIT_USAGE
+        assert "epoch 1 " in capsys.readouterr().err
+        assert main(["run", *argv, "--trials", "20"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(CSV_HEADER)
+
     @pytest.mark.parametrize("argv", [
         ["exact"],
         ["exact", "--instance", "det:0,1", "--eps", "0"],
@@ -208,6 +220,15 @@ class TestPlot:
         assert doc.startswith("<?xml")
         assert "<svg" in doc and "polyline" in doc
         assert 'class="legend-entry"' in doc
+
+    def test_k_axis_joins_instances_into_one_series(self, tmp_path):
+        csv_path, svg_path = tmp_path / "sweep.csv", tmp_path / "plot.svg"
+        assert main(["run", "--instance", "grid:K=4", "--instance", "grid:K=8",
+                     "--instance", "grid:K=16", "--T", "15", "--trials", "50",
+                     "--out", str(csv_path)]) == EXIT_OK
+        assert main(["plot", str(csv_path), "--x", "K", "--out", str(svg_path)]) == EXIT_OK
+        polylines = re.findall(r'<polyline [^>]*points="([^"]*)"', svg_path.read_text())
+        assert [len(points.split()) for points in polylines] == [3]
 
     def test_missing_csv(self, tmp_path, capsys):
         assert main(["plot", str(tmp_path / "none.csv"), "--out",

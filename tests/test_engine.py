@@ -422,6 +422,23 @@ class TestEpochSelectionPmf:
         assert epoch_selection_pmf(inst, MechanismSpec(1, NoiseKind.LAPLACE, epsilon=1.0),
                                    8) is not None
 
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL,
+                                      NoiseKind.GUMBEL])
+    def test_steps_many_noise_scales_wide_take_the_fallback(self, kind, monkeypatch):
+        # At eps = 1e5 a unit step is h = 5e4 noise scales, which the kernel
+        # would cross with 12 ceil(h) (Gumbel about 4 h) node offsets per
+        # step; the refusal comes before any kernel work. At h = 1 the
+        # window alone decides, and the epoch keeps its pmf.
+        inst = bernoulli_instance([0.2, 0.5])
+        assert epoch_selection_pmf(inst, MechanismSpec(1, kind, epsilon=2.0), 2) is not None
+
+        def unused(*args):
+            raise AssertionError("lattice kernel called for a refused epoch")
+
+        monkeypatch.setattr(engine, "lattice_selection_pmf", unused)
+        for length in (1, 2):
+            assert epoch_selection_pmf(inst, MechanismSpec(1, kind, epsilon=1e5), length) is None
+
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_one_surviving_action_is_one_hot_at_any_length(self, kind, monkeypatch):
         # From 2^32 on the winner's binomial window is over PMF_MAX_VALUES,

@@ -20,7 +20,7 @@ from dpexperts.mechanism import (
     select_batch,
     selection_pmf,
 )
-from dpexperts.noise import RngStream, noise_ppf
+from dpexperts.noise import PIECES, RngStream, noise_cdf, noise_pdf, noise_ppf
 
 
 class TestResampling:
@@ -340,6 +340,67 @@ class TestQuadratureOracle:
         spec = MechanismSpec(0, NoiseKind.LAPLACE, epsilon=1.0)
         with pytest.raises(TooManyActions):
             rnm_pmf_oracle(np.zeros(ORACLE_MAX_ACTIONS + 1), spec)
+
+
+# Unit-scale arguments on both sides of 0; Exponential's t-forms are only
+# evaluated at z > 0.
+T_FORM_Z = {
+    NoiseKind.LAPLACE: np.concatenate([-np.logspace(-12, np.log10(700.0), 40), [0.0],
+                                       np.logspace(-12, np.log10(700.0), 40)]),
+    NoiseKind.EXPONENTIAL: np.logspace(-12, np.log10(700.0), 60),
+}
+
+
+class TestTForms:
+    """The `PIECES` laws and the kernel's t-forms against mpmath, element by
+    element.
+
+    Each form starts from t = e^-z, which exp rounds to within an ulp of 1
+    relative, and reads F = 1 + d t off it. Where F is near 0 that is a
+    difference of nearly equal numbers, so the forms are accurate to about
+    ulp(1) / F: log F to that absolutely, f/F relatively. That is the
+    error they are meant to have: where F is small, so is every integrand
+    with that factor."""
+
+    @pytest.mark.parametrize("kind", list(PIECES))
+    def test_table_cdf_and_pdf(self, kind):
+        # noise_cdf and noise_pdf read the same table without a t-form, and
+        # keep an ulp or so relative on both sides of 0, Exponential's F near
+        # 0+ included: F = -expm1(-z) there, which 1 - e^-z would miss by up
+        # to 1e-4 relative at z = 1e-12.
+        z = np.concatenate([T_FORM_Z[kind], -T_FORM_Z[kind], np.logspace(-12, -3, 30)])
+        for fn, ref in zip((noise_cdf, noise_pdf), _mp_unit_noise(kind)):
+            with mp.workdps(40):
+                want = np.array([float(ref(mp.mpf(x))) for x in z])
+            got = fn(kind, z, 1.0)
+            assert np.all(got[want == 0.0] == 0.0)
+            assert np.all(np.abs(got[want != 0.0] / want[want != 0.0] - 1.0) <= 1e-15)
+
+    @pytest.mark.parametrize("kind", list(PIECES))
+    def test_log_cdf_of_one_action(self, kind):
+        z = T_FORM_Z[kind]
+        got = mechanism._log_cdf_sum(kind, z, np.array([0.0]))
+        cdf, _ = _mp_unit_noise(kind)
+        # 1 - F is down to e^-700 / 2, so F needs over 300 digits.
+        with mp.workdps(330):
+            cdfs = [cdf(mp.mpf(x)) for x in z]
+            log_cdf = np.array([float(mp.log(c)) for c in cdfs])
+            odds = np.array([float((1 - c) / c) for c in cdfs])
+        # t's rounding moves log F by ulp(1) (1 - F) / F; log1p rounds its
+        # result, so log F keeps its relative accuracy where F is near 1.
+        ulp = np.finfo(float).eps
+        assert np.all(np.abs(got - log_cdf) <= 2.0 * ulp * (odds + np.abs(log_cdf)))
+
+    @pytest.mark.parametrize("kind", list(PIECES))
+    def test_reversed_hazard(self, kind):
+        z = T_FORM_Z[kind]
+        got = mechanism._reversed_hazard(kind, z, np.array([0.0]))[:, 0]
+        cdf, pdf = _mp_unit_noise(kind)
+        with mp.workdps(40):
+            cdfs = np.array([float(cdf(mp.mpf(x))) for x in z])
+            hazard = np.array([float(pdf(mp.mpf(x)) / cdf(mp.mpf(x))) for x in z])
+        ulp = np.finfo(float).eps
+        assert np.all(np.abs(got / hazard - 1.0) <= 2.0 * ulp / cdfs)
 
 
 def unit_log_cdf_pdf(z, kind: NoiseKind):
