@@ -104,8 +104,8 @@ def exact_regret_epochs(instance: Instance, spec: MechanismSpec, horizon: int) -
                                       start=1):
         if pmf is None:
             raise OutOfRange(f"epoch {r} has no exact selection pmf: its scores share no "
-                             "single lattice, or its integration window or its lattice "
-                             "step in noise scales is too wide")
+                             "single lattice, or its integration window, in lattice steps "
+                             "refined to one noise scale, is too wide")
         contributions.append(length * float((gaps * pmf).sum()))
     return contributions
 

@@ -134,10 +134,10 @@ LATTICE_RTOL = 1e-12
 LATTICE_ATOL_STEPS = 1e-6
 
 # epoch_selection_pmf leaves an epoch to the sampler when its laws times its
-# window, in lattice steps, exceed this many values: the kernel then holds a
-# few arrays of that size, about 8 MB each. A lattice step h noise scales
-# wide takes up to GL_ORDER ceil(h) node offsets, each a pass over those
-# arrays, so the values count ceil(h) times.
+# window, in refined lattice steps, exceed this many values: the kernel then
+# holds a few arrays of that size, about 8 MB each. `lattice_selection_pmf`
+# splits a step h noise scales wide into ceil(h) steps, so a window of w
+# lattice steps holds w ceil(h) values.
 PMF_MAX_VALUES = 1 << 20
 
 
@@ -226,9 +226,9 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     Returns None where the random scores share no single lattice (a finite
     support with three or more atoms, or lattice steps or offsets that
     differ), and where the laws times the integration window, in lattice
-    steps, times ceil(h) for a step h noise scales wide, would exceed
-    PMF_MAX_VALUES: supports many steps wide that overlap, noise many steps
-    wide, or steps many noise scales wide.
+    steps refined to at most one noise scale (ceil(h) per step h noise
+    scales wide), would exceed PMF_MAX_VALUES: supports many steps wide that
+    overlap, noise many steps wide, or steps many noise scales wide.
     """
     if not spec.resample and all(isinstance(m, PointMass) for m in instance.models):
         return selection_pmf(length * instance.means, spec)
@@ -268,8 +268,8 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     # spans the widest support.
     spread = (centre + radius)[near].max() - (centre - radius)[near].min()
     width = (spread + 110.0 * spec.scale()) / unit + 2.0 * radius[near].max() / unit + 4.0
-    passes = math.ceil(unit / spec.scale()) if spec.noise is not NoiseKind.NONE else 1
-    if copies.size * width * passes > PMF_MAX_VALUES:
+    split = math.ceil(unit / spec.scale()) if spec.noise is not NoiseKind.NONE else 1
+    if copies.size * width * split > PMF_MAX_VALUES:
         return None
     lows, pmfs = [], []
     for i in near[first]:

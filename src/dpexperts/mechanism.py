@@ -153,6 +153,15 @@ def _gauss_legendre(order: int = GL_ORDER):
     return np.polynomial.legendre.leggauss(order)
 
 
+def _panel_nodes(edges: np.ndarray):
+    """GL_ORDER-point Gauss-Legendre nodes and weights on each panel between
+    consecutive sorted edges."""
+    mid = (edges[1:] + edges[:-1]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    x, w = _gauss_legendre()
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
 def _lower_cut(kind: NoiseKind, part: np.ndarray) -> float:
     """The last point on a 4-scale, then 1/8-scale, grid where
     b(y) = sum_i log F(y + part_i) is at most LOG_CUT, for sorted part >= 0.
@@ -192,10 +201,7 @@ def _quadrature_nodes(kind: NoiseKind, g: np.ndarray):
                             [PRUNE_SCALES]])
     if PIECES[kind][0][1]:
         edges = np.union1d(edges, -g[(-g > lo) & (-g < PRUNE_SCALES)])
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    x, w = _gauss_legendre()
-    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+    return _panel_nodes(edges)
 
 
 def _hazard_pmf(g: np.ndarray, kind: NoiseKind) -> np.ndarray:
@@ -233,16 +239,25 @@ def lattice_selection_pmf(lows: np.ndarray, pmfs, step: float, copies: np.ndarra
     step > 0 and lows congruent modulo step. Without noise the tie split is
     summed over the support (`_lattice_tie_pmf`); with noise
     p_j = int f_{Y_j} prod_{i != j} F_{Y_i} for Y_i = -S_i + Q_i is
-    integrated on lattice-aligned panels (`_lattice_hazard_pmf`).
+    integrated on lattice-aligned periods (`_lattice_hazard_pmf`). A step
+    h > 1 noise scales wide is first split into ceil(h) equal steps, with
+    zeros between a lattice pmf's entries, so the kernel integrates steps
+    at most one noise scale wide.
     """
     lows = np.asarray(lows, dtype=float)
     sizes = np.array([pmf.size for pmf in pmfs])
     best = (lows + step * (sizes - 1)).min()
     if spec.noise is NoiseKind.NONE:
         return _lattice_tie_pmf(lows, pmfs, sizes, step, copies, best)
+    beta = spec.scale()
+    split = math.ceil(step / beta)
+    if split > 1:
+        fine = [np.zeros((pmf.size - 1) * split + 1) for pmf in pmfs]
+        for pmf, spread in zip(pmfs, fine):
+            spread[::split] = pmf
+        pmfs, sizes, step = fine, (sizes - 1) * split + 1, step / split
     # Scores are shift-invariant; shifting by the best top of support keeps
     # the nodes near 0, where a point's F(y + c) loses no digits.
-    beta = spec.scale()
     return _lattice_hazard_pmf((lows - best) / beta, pmfs, sizes, step / beta, copies, spec)
 
 
@@ -303,8 +318,8 @@ def _midpoint_count(h: float) -> int:
     c' = cos Im z >= c, and |f(z)| <= phi(Re z) = e^-x exp(-c e^-x), which
     integrates to 1/c and peaks at 1/(c e). A sum of the unimodal phi over a
     lattice of spacing h is at most its integral over h plus its peak, so
-    M = (1/h + 1/e) / c. That gives m = 2 at h = 1/2, 4 at h = 1, and at
-    most max(1, ceil(4 h)) up to h = 41.
+    M = (1/h + 1/e) / c. That gives m = 2 at h = 1/2 and 4 at h = 1, the
+    widest step `lattice_selection_pmf` leaves to the kernel.
     """
     c = math.cos(GUMBEL_STRIP)
     bound = 2.0 * (1.0 + h / math.e) / c
@@ -313,7 +328,7 @@ def _midpoint_count(h: float) -> int:
 
 def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     """p_j = int f_{Y_j}(y) prod_{i != j} F_{Y_i}(y) dy in noise-scale units:
-    lowest scores g (top of support min 0) and lattice step h.
+    lowest scores g (top of support min 0) and lattice step h <= 1.
 
     A lattice law's F_Y(y) = sum_k pmf[k] F(y + g + h k) is the pmf
     correlated with F sampled on a grid of spacing h. The period is anchored
@@ -322,9 +337,9 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     over the in-period node offsets o; memory stays (laws x periods) per
     offset.
 
-    Laplace and Exponential split the period into Gauss-Legendre panels at
-    most min(h, 1) wide and at each point's kink, so every kink is a panel
-    edge: the period sum has a kink at o = 0 and is not smooth across it.
+    Laplace and Exponential integrate the period as one Gauss-Legendre
+    panel, split at each point's kink, so every kink is a panel edge: the
+    period sum has a kink at o = 0 and is not smooth across it.
     Gumbel has no kinks. Summed over all periods, its integrand
     G(o) = sum_n f_{Y_j} prod F_{Y_i} (o + h n) is h-periodic and analytic
     in the strip |Im o| < pi/2, where |exp(-e^-z)| <= 1; the kernel drops
@@ -406,12 +421,7 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
         offsets = h * (np.arange(m) + 0.5) / m
         weights = np.full(m, h / m)
     else:
-        edges = np.union1d(np.linspace(0.0, h, math.ceil(h) + 1), np.mod(-g[points] - anchor, h))
-        mid = (edges[1:] + edges[:-1]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
-        x, w = _gauss_legendre()
-        offsets = (mid[:, None] + half[:, None] * x).ravel()
-        weights = (half[:, None] * w).ravel()
+        offsets, weights = _panel_nodes(np.union1d([0.0, h], np.mod(-g[points] - anchor, h)))
     y_period = anchor + h * (first + np.arange(periods))
     laws = np.concatenate([lattice, points])
     many = copies[laws][:, None]

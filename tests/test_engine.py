@@ -1,9 +1,10 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dpexperts import engine, harness
 from dpexperts.core import (
@@ -275,9 +276,10 @@ class TestEpochSelectionPmf:
     @pytest.mark.parametrize("resample", [0, 1])
     @pytest.mark.parametrize("name", sorted(BRUTE_INSTANCES))
     def test_matches_brute_force_enumeration(self, name, resample, kind):
-        # eps = 16 makes the lattice step 8 noise scales, so each period
-        # holds 8 panels; eps = 0.25 makes it 1/8 of a scale; eps = 3 makes
-        # it 1.5 scales, two uneven panels once a point's kink splits them.
+        # eps = 16 makes the lattice step 8 noise scales, refined to 8 steps
+        # of one scale; eps = 0.25 makes it 1/8 of a scale; eps = 3 makes it
+        # 1.5 scales, refined to two steps of 0.75 that a point's kink
+        # splits unevenly.
         inst = BRUTE_INSTANCES[name]
         for eps in ((0.25, 1.0, 3.0, 4.0, 16.0) if kind is not NoiseKind.NONE else (0.0,)):
             spec = _spec(resample, kind, eps)
@@ -426,8 +428,8 @@ class TestEpochSelectionPmf:
                                       NoiseKind.GUMBEL])
     def test_steps_many_noise_scales_wide_take_the_fallback(self, kind, monkeypatch):
         # At eps = 1e5 a unit step is h = 5e4 noise scales, which the kernel
-        # would cross with 12 ceil(h) (Gumbel about 4 h) node offsets per
-        # step; the refusal comes before any kernel work. At h = 1 the
+        # would refine to 5e4 steps, so the window holds 5e4 times as many
+        # values; the refusal comes before any kernel work. At h = 1 the
         # window alone decides, and the epoch keeps its pmf.
         inst = bernoulli_instance([0.2, 0.5])
         assert epoch_selection_pmf(inst, MechanismSpec(1, kind, epsilon=2.0), 2) is not None
@@ -438,6 +440,24 @@ class TestEpochSelectionPmf:
         monkeypatch.setattr(engine, "lattice_selection_pmf", unused)
         for length in (1, 2):
             assert epoch_selection_pmf(inst, MechanismSpec(1, kind, epsilon=1e5), length) is None
+
+    @pytest.mark.parametrize("eps", [2e3, 2e4])
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL,
+                                      NoiseKind.GUMBEL])
+    def test_steps_far_wider_than_the_noise_split_ties_evenly(self, kind, eps):
+        # i.i.d. continuous noise splits ties evenly and, across a lattice
+        # step of h >= 400 noise scales, flips an order with probability
+        # under e^-390: the pmf is the noiseless tie split, which
+        # `_lattice_tie_pmf` computes apart from the noisy kernel. The
+        # kernel's passes do not grow with h, so each epoch stays under 1 s.
+        for spec_text, resample, length in (("bern:0.2,0.5", 1, 1), ("bern:0.2,0.5", 1, 2),
+                                            ("paper-example", 0, 2)):
+            inst = parse_instance_spec(spec_text)
+            start = time.perf_counter()
+            got = epoch_selection_pmf(inst, _spec(resample, kind, eps), length)
+            assert time.perf_counter() - start < 1.0
+            expected = epoch_selection_pmf(inst, _spec(resample, NoiseKind.NONE, 0.0), length)
+            assert np.abs(got - expected).max() <= 1e-12, (spec_text, length)
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_one_surviving_action_is_one_hot_at_any_length(self, kind, monkeypatch):
@@ -478,6 +498,24 @@ class TestBinomialPmf:
         for outside in (low - 1, low + pmf.size):
             if 0 <= outside <= n:
                 assert stats.binom.pmf(outside, n, p) < math.exp(-70.0) * peak
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 1 << 32), log_p=st.floats(math.log(1e-12), math.log(0.5)),
+           upper=st.booleans())
+    def test_window_holds_the_cut_on_drawn_laws(self, n, log_p, upper):
+        # The pmf holds every count within 70 nats of the mode and no other:
+        # its end counts are inside the cut, the counts just beyond them
+        # outside it (scipy's log-pmf relative to the mode), from n = 1 to
+        # 2^32 and p out to 1e-12 from 0 and from 1.
+        p = -math.expm1(log_p) if upper else math.exp(log_p)
+        low, pmf = engine._binomial_pmf(n, p)
+        peak = stats.binom.logpmf(min(int((n + 1) * p), n), n, p)
+        for end in (low, low + pmf.size - 1):
+            assert stats.binom.logpmf(end, n, p) - peak >= -70.0 - 1e-6
+        for outside in (low - 1, low + pmf.size):
+            if 0 <= outside <= n:
+                assert stats.binom.logpmf(outside, n, p) - peak < -70.0 + 1e-6
+        assert abs(pmf.sum() - 1.0) <= 1e-15
 
     def test_degenerate_means_are_points(self):
         assert engine._binomial_pmf(9, 0.0)[0] == 0

@@ -1,8 +1,9 @@
 """CLI outputs that refactors promise to keep, compared byte for byte.
 
 Each case runs `cli.main` in-process and compares its stdout with a file
-under tests/golden/. To record the files from a checkout, run
-`PYTHONPATH=src python tests/test_golden.py`; record them only from a
+under tests/golden/. To record files from a checkout, run
+`PYTHONPATH=src python tests/test_golden.py NAME...`, which rewrites only
+the named cases (all of them when none is named); record them only from a
 commit whose outputs are meant to be kept.
 """
 import contextlib
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from dpexperts import mechanism
 from dpexperts.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -33,6 +35,15 @@ CASES = {
                             "--eps", "1", "--T", "1073741823"],
     "exact-bern.txt": ["exact", "--instance", "bern:0.2,0.5,0.8", "--B", "1",
                        "--noise", "exponential", "--T", "1048575"],
+    # Lattice steps wider than a noise scale: h = 2 at eps = 4, h = 4 with a
+    # point's kink at eps = 20, and h = 1e4 at eps = 2e4.
+    **{f"exact-bern-{noise}-eps4.txt": ["exact", "--instance", "bern:0.2,0.5,0.8", "--B", "1",
+                                        "--noise", noise, "--eps", "4", "--T", "1048575"]
+       for noise in ("gumbel", "laplace", "exponential")},
+    "exact-paper-laplace-eps20.txt": ["exact", "--instance", "paper-example", "--noise",
+                                      "laplace", "--eps", "20", "--T", "1023"],
+    "exact-bern-gumbel-eps2e4.txt": ["exact", "--instance", "bern:0.2,0.5", "--B", "1",
+                                     "--T", "7", "--eps", "2e4", "--noise", "gumbel"],
 }
 
 
@@ -48,8 +59,27 @@ def test_output_is_byte_identical(name):
     assert _stdout(CASES[name]).encode() == (GOLDEN / name).read_bytes()
 
 
+def test_kernel_integrates_steps_at_most_one_noise_scale_wide(monkeypatch):
+    # `lattice_selection_pmf` refines wider steps before the kernel sees
+    # them: the eps = 4 sweeps have unit steps 2 noise scales wide.
+    steps = []
+    kernel = mechanism._lattice_hazard_pmf
+
+    def recorded(g, pmfs, sizes, h, copies, spec):
+        steps.append(h)
+        return kernel(g, pmfs, sizes, h, copies, spec)
+
+    monkeypatch.setattr(mechanism, "_lattice_hazard_pmf", recorded)
+    for name in sorted(CASES):
+        if name.startswith("sweep-"):
+            _stdout(CASES[name])
+    assert steps and max(steps) <= 1.0
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    # A name that is not a case raises KeyError before any file is written.
+    chosen = {name: CASES[name] for name in sys.argv[1:] or CASES}
+    for name, argv in chosen.items():
         (GOLDEN / name).write_bytes(_stdout(argv).encode())
         print(f"wrote {GOLDEN / name}", file=sys.stderr)
