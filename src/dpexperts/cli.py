@@ -40,12 +40,6 @@ def _floats(text: str, option: str) -> List[float]:
     return vals
 
 
-def _positive(value: float, option: str) -> float:
-    if not (math.isfinite(value) and value > 0.0):
-        raise _UsageError(f"{option} must be positive and finite, got {value:g}")
-    return value
-
-
 def _ints(text: str, option: str) -> List[int]:
     # int() of each decimal; a float would round values from 2^53 on.
     try:
@@ -74,8 +68,7 @@ def _mechanism_specs(args: argparse.Namespace, epsilons: List[float]) -> List[Me
     if noise is NoiseKind.NONE:
         return [MechanismSpec(resample=args.B, noise=noise)]
     try:
-        return [MechanismSpec(resample=args.B, noise=noise, epsilon=_positive(eps, "--eps"))
-                for eps in epsilons]
+        return [MechanismSpec(resample=args.B, noise=noise, epsilon=eps) for eps in epsilons]
     except OutOfRange as exc:
         raise _UsageError(f"--eps: {exc}") from exc
 

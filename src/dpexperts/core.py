@@ -41,6 +41,9 @@ class PointMass:
     def mean(self) -> float:
         return self.value
 
+    def two_point(self) -> tuple:
+        return (self.value, self.value, 0.0)
+
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF map of uniforms in [0, 1) to losses (degenerate: constant)."""
         return np.full_like(np.asarray(u, dtype=float), self.value)
@@ -57,6 +60,9 @@ class Bernoulli:
 
     def mean(self) -> float:
         return self.p
+
+    def two_point(self) -> tuple:
+        return (0.0, 1.0, self.p)
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         # Convention: u < p maps to loss 1 so that the loss mean equals p.
@@ -76,14 +82,26 @@ class FiniteSupport:
             raise InvalidProbabilities("finite-support model needs at least one atom")
         for v, p in atoms:
             _check_unit_interval(v, "finite-support value")
-            if p < 0.0:
-                raise InvalidProbabilities(f"negative atom probability {p!r}")
+            if not (math.isfinite(p) and p >= 0.0):
+                raise InvalidProbabilities(f"atom probability {p!r} is negative or not finite")
         total = math.fsum(p for _, p in atoms)
         if abs(total - 1.0) > PROB_TOL:
             raise InvalidProbabilities(f"atom probabilities sum to {total!r}, expected 1")
 
     def mean(self) -> float:
         return math.fsum(v * p for v, p in self.atoms)
+
+    def two_point(self) -> tuple:
+        """(b, a, q) with a >= b: the loss is b + (a - b) Bernoulli(q) over the
+        atoms of positive probability; NaNs for three or more of them."""
+        values = sorted({v for v, p in self.atoms if p > 0.0})
+        if len(values) > 2:
+            return (math.nan,) * 3
+        if len(values) == 1:
+            return (values[0], values[0], 0.0)
+        b, a = values
+        total = math.fsum(p for _, p in self.atoms)
+        return (b, a, math.fsum(p for v, p in self.atoms if v == a) / total)
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF over [0, 1) partitioned by atom probabilities in listed order."""
@@ -100,6 +118,8 @@ class Instance:
 
     Actions keep their given order; gaps are taken against the minimum mean, and
     delta_min is the smallest strictly positive gap (None when all means tie).
+    Row j of laws is models[j].two_point(), (b, a, q): the loss is
+    b + (a - b) Bernoulli(q), NaN for a support of three or more atoms.
     Immutable after construction; safe to share across concurrent trials.
     """
 
@@ -107,6 +127,7 @@ class Instance:
     means: np.ndarray
     gaps: np.ndarray
     delta_min: Optional[float]
+    laws: np.ndarray
 
     @property
     def k(self) -> int:
@@ -122,7 +143,8 @@ def make_instance(models) -> Instance:
     gaps = means - means.min()
     positive = gaps[gaps > 0.0]
     delta_min = float(positive.min()) if positive.size else None
-    return Instance(models=models, means=means, gaps=gaps, delta_min=delta_min)
+    laws = np.array([m.two_point() for m in models], dtype=float)
+    return Instance(models=models, means=means, gaps=gaps, delta_min=delta_min, laws=laws)
 
 
 class NoiseKind(str, Enum):
@@ -145,8 +167,8 @@ class MechanismSpec:
             raise OutOfRange(f"resample bit must be 0 or 1, got {self.resample!r}")
         noise = NoiseKind(self.noise)
         object.__setattr__(self, "noise", noise)
-        if noise is not NoiseKind.NONE and not self.epsilon > 0.0:
-            raise OutOfRange(f"epsilon must be positive for {noise.value} noise")
+        if noise is not NoiseKind.NONE and not 0.0 < self.epsilon < math.inf:
+            raise OutOfRange(f"epsilon must be positive and finite for {noise.value} noise")
         if noise is not NoiseKind.NONE and not math.isfinite(self.scale()):
             raise OutOfRange(f"epsilon {float(self.epsilon)!r} is too small: the noise scale "
                              f"2/epsilon overflows")

@@ -177,42 +177,28 @@ def _binomial_pmf(n: int, p: float):
 
 
 def _score_laws(instance: Instance, resample: int, length: int):
-    """Each action's epoch score as base + step * Binomial(n, q), the laws
-    `sample_scores` draws from: Binomial(length, mu) with resampling or for
-    Bernoulli losses; length * value (n = 0) for a point mass and a one-atom
-    finite support; L b + (a - b) Binomial(L, q) for a two-atom support
-    {a w.p. q, b}. None when some support has three or more atoms."""
-    laws = []
-    for model in instance.models:
-        if resample or isinstance(model, Bernoulli):
-            laws.append((0.0, 1.0, length, model.mean()))
-        elif isinstance(model, PointMass):
-            laws.append((length * model.value, 0.0, 0, 0.0))
-        elif isinstance(model, FiniteSupport):
-            atoms = sorted({v for v, p in model.atoms if p > 0.0})
-            if len(atoms) > 2:
-                return None
-            if len(atoms) == 1:
-                laws.append((length * atoms[0], 0.0, 0, 0.0))
-                continue
-            b, a = atoms
-            total = math.fsum(p for _, p in model.atoms)
-            q = math.fsum(p for v, p in model.atoms if v == a) / total
-            laws.append((length * b, a - b, length, q))
-        else:
-            raise TypeError(f"unknown loss model {model!r}")
-    return laws
+    """Columns (base, step, n, q): each action's epoch score as
+    base + step * Binomial(n, q), the laws `sample_scores` draws from:
+    Binomial(length, mu) with resampling, and without it
+    length b + (a - b) Binomial(length, q) for the loss law (b, a, q) of
+    `Instance.laws`. n is a float: lengths from 2^63 on overflow an int64."""
+    n = float(length)
+    if resample:
+        low, high, q = np.zeros(instance.k), np.ones(instance.k), instance.means
+    else:
+        low, high, q = instance.laws.T
+    return n * low, high - low, np.full(instance.k, n), q
 
 
 def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     """Exact pmf of the action selected after one epoch of `length` steps,
     marginal over that epoch's scores and the selection noise.
 
-    With every action a point mass and no resampling it is `selection_pmf`
-    of the one score row every trial has, length * means. Otherwise
-    each score is a point or a lattice variable (`_score_laws`), actions
-    with the same law are grouped, and `lattice_selection_pmf` integrates
-    the selection over the laws.
+    Each score is a point or a lattice variable (`_score_laws`). When every
+    score is a point, as with point-mass losses and no resampling, the pmf
+    is `selection_pmf` of the one score row every trial has. Otherwise
+    actions with the same law are grouped, and `lattice_selection_pmf`
+    integrates the selection over the laws.
 
     Actions that surely lose get p = 0 before their pmfs are built: by
     Hoeffding, a count the binomial cut keeps lies within
@@ -230,18 +216,14 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     scales wide), would exceed PMF_MAX_VALUES: supports many steps wide that
     overlap, noise many steps wide, or steps many noise scales wide.
     """
-    if not spec.resample and all(isinstance(m, PointMass) for m in instance.models):
-        return selection_pmf(length * instance.means, spec)
-    laws = _score_laws(instance, spec.resample, length)
-    if laws is None:
+    base, step, n, q = _score_laws(instance, spec.resample, length)
+    if np.isnan(q).any():
         return None
-    # Floats: epoch lengths from 2^63 on overflow an int64 column.
-    base, step, n, q = (np.array(column, dtype=float) for column in zip(*laws))
-    random = (n > 0) & (q > 0.0) & (q < 1.0)
+    random = (q > 0.0) & (q < 1.0)
     base += step * np.where(random, 0.0, np.round(q) * n)
-    step, n, q = (np.where(random, column, 0) for column in (step, n, q))
     if not random.any():
         return selection_pmf(base, spec)
+    step, n, q = (np.where(random, column, 0) for column in (step, n, q))
     radius = step * (np.sqrt(n * (BINOMIAL_LOG_CUT + np.log(n + 1.0)) / 2.0) + 1.0)
     centre = base + step * n * q
     best = (centre + radius).min()

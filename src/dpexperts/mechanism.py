@@ -267,10 +267,13 @@ def _lattice_tie_pmf(lows, pmfs, sizes, step, copies, best) -> np.ndarray:
     Given S_j = s, j wins with probability E[1/(1 + N)], N the number of
     other actions tied at s, when none is below s; that expectation is the
     z-integral, a polynomial of degree K - 1 that ceil(K/2)-point
-    Gauss-Legendre integrates exactly. Support values within TIE_RTOL of a
-    smaller one tie with it, as in `_tie_mask`. Values above the best top of
-    support lose to it surely, and laws whose support starts above it never
-    win.
+    Gauss-Legendre integrates exactly. At each node the product over the
+    other actions is W / F_j (`_add_exclusive_products`) with
+    F = P(S > s) + z P(S = s) and f = P(S = s); F's floor changes nothing
+    that counts, as F_j >= z P(S_j = s) wherever P(S_j = s) > 0. Support
+    values within TIE_RTOL of a smaller one tie with it, as in `_tie_mask`.
+    Values above the best top of support lose to it surely, and laws whose
+    support starts above it never win.
     """
     p = np.zeros(sizes.size)
     top = best + TIE_RTOL * (1.0 + abs(best))
@@ -288,18 +291,26 @@ def _lattice_tie_pmf(lows, pmfs, sizes, step, copies, best) -> np.ndarray:
         above[row] = pmfs[i][~within].sum()
     # P(S_i > s): the mass above later tie classes and above the top.
     gt = above + np.cumsum(eq[:, ::-1], axis=1)[:, ::-1] - eq
-    many = copies[keep][:, None]
+    many = copies[keep]
     x, w = _gauss_legendre(-(-int(many.sum()) // 2))
-    ones = np.ones((1, starts.size))
     for z, weight in zip((x + 1.0) / 2.0, w / 2.0):
-        factor = gt + z * eq
-        # prod over the other actions: the other laws' factors to their
-        # multiplicity, and this law's to one less.
-        powers = factor ** many
-        before = np.cumprod(np.vstack([ones, powers[:-1]]), axis=0)
-        after = np.cumprod(np.vstack([powers[1:], ones])[::-1], axis=0)[::-1]
-        p[keep] += weight * (eq * before * after * factor ** (many - 1)).sum(axis=1)
+        _add_exclusive_products(p, keep, weight, eq, gt + z * eq, many)
     return p
+
+
+def _add_exclusive_products(p, laws, weight, f, cdf, copies) -> None:
+    """p[laws] += weight * sum_n f_j(n) prod_{i != j} F_i(n), the product over
+    the other actions at each node n, for (laws, nodes) arrays f and F = cdf
+    and copies[i] actions with law i: that is (f_j / F_j) W for
+    W = prod_i F_i^copies_i. F is floored at 1e-300 in place, so that f / F
+    is finite; where the floor acts, f_j and W are negligible or 0.
+    """
+    np.maximum(cdf, 1e-300, out=cdf)
+    joint = np.prod(cdf, axis=0)
+    shared = copies > 1
+    if shared.any():
+        joint *= np.prod(cdf[shared] ** (copies[shared, None] - 1), axis=0)
+    p[laws] += weight * ((f / cdf) @ joint)
 
 
 def _next_fft_size(n: int) -> int:
@@ -333,9 +344,9 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     A lattice law's F_Y(y) = sum_k pmf[k] F(y + g + h k) is the pmf
     correlated with F sampled on a grid of spacing h. The period is anchored
     at a lattice kink; points are evaluated directly. With
-    W = prod_i F_{Y_i}^copies_i, p_j = int h_j W for h = f_Y / F_Y, summed
-    over the in-period node offsets o; memory stays (laws x periods) per
-    offset.
+    W = prod_i F_{Y_i}^copies_i, p_j = int (f_{Y_j} / F_{Y_j}) W, summed
+    over the in-period node offsets o (`_add_exclusive_products`); memory
+    stays (laws x periods) per offset.
 
     Laplace and Exponential integrate the period as one Gauss-Legendre
     panel, split at each point's kink, so every kink is a panel edge: the
@@ -424,38 +435,30 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
         offsets, weights = _panel_nodes(np.union1d([0.0, h], np.mod(-g[points] - anchor, h)))
     y_period = anchor + h * (first + np.arange(periods))
     laws = np.concatenate([lattice, points])
-    many = copies[laws][:, None]
-    shared = many[:, 0] > 1
     cdf = np.empty((laws.size, periods))
-    hazard = np.empty((laws.size, periods))
+    pdf = np.empty((laws.size, periods))
     for offset, weight in zip(offsets, weights):
         if kind is NoiseKind.GUMBEL:
             z = offset + h * n
             cdf[:lattice.size] = correlate(noise_cdf(kind, z, 1.0))
-            hazard[:lattice.size] = correlate(noise_pdf(kind, z, 1.0))
+            pdf[:lattice.size] = correlate(noise_pdf(kind, z, 1.0))
         else:
             up = upper * (a * math.exp(-offset))
             np.add(mass, up, out=cdf[:lattice.size])
-            np.negative(up, out=hazard[:lattice.size])
+            np.negative(up, out=pdf[:lattice.size])
             if b:
                 down = lower * (b * math.exp(offset - h))
                 cdf[:lattice.size] += down
-                hazard[:lattice.size] += down
+                pdf[:lattice.size] += down
         if points.size:
             z = y_period + offset + g[points][:, None]
             cdf[lattice.size:] = noise_cdf(kind, z, 1.0)
-            hazard[lattice.size:] = noise_pdf(kind, z, 1.0)
-        # FFT rounding can leave F and f a few ulps below 0; F is kept
-        # positive so that h = f / F is finite. Where W underflows, every
-        # f_j prod_{i != j} F_i = h_j W is negligible: nodes stay off the
-        # kinks, so h is bounded.
-        np.maximum(cdf, 1e-300, out=cdf)
-        np.maximum(hazard, 0.0, out=hazard)
-        hazard /= cdf
-        joint = np.prod(cdf, axis=0)
-        if shared.any():
-            joint *= np.prod(cdf[shared] ** (many[shared] - 1), axis=0)
-        p[laws] += weight * (hazard @ joint)
+            pdf[lattice.size:] = noise_pdf(kind, z, 1.0)
+        # FFT rounding can leave F and f a few ulps below 0. Where W
+        # underflows, every f_j prod_{i != j} F_i = (f_j / F_j) W is
+        # negligible: nodes stay off the kinks, so f / F is bounded.
+        np.maximum(pdf, 0.0, out=pdf)
+        _add_exclusive_products(p, laws, weight, pdf, cdf, copies[laws])
     return p
 
 

@@ -154,20 +154,37 @@ class TestExactCalculator:
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("spec_text", ["bern:0.2,0.5,0.8", "paper-example"])
     def test_matches_selection_frequency_monte_carlo(self, spec_text, kind):
-        # selection_frequency samples real scores and real noise, apart from
-        # the epoch pmfs; the estimate mean(gaps) + sum_r 2^r (gaps . freq_r)
-        # has stderr sqrt(sum_r 4^r var_r / trials).
         inst = parse_instance_spec(spec_text)
         spec = _spec(1, kind, 1.0)
         big_r, trials = 8, 20_000
-        mean, var = float(inst.gaps.mean()), 0.0
-        for r in range(1, big_r):
-            freq = selection_frequency(inst, spec, r, trials, 31)
-            picked = float(freq @ inst.gaps)
-            mean += (1 << r) * picked
-            var += (1 << r) ** 2 * (float(freq @ inst.gaps ** 2) - picked ** 2)
+        mean, stderr = _selection_frequency_regret(inst, spec, big_r, trials, 31)
         exact = math.fsum(exact_regret_epochs(inst, spec, (1 << big_r) - 1))
-        assert abs(mean - exact) <= 4.0 * math.sqrt(var / trials) + 1e-12
+        assert abs(mean - exact) <= 4.0 * stderr + 1e-12
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_graded_64_matches_selection_frequency_monte_carlo(self, kind):
+        # The bench's graded K=64 stochastic cell at T = 2^20 - 1; without
+        # noise it runs the tie kernel on 64 distinct laws.
+        inst = parse_instance_spec(
+            "bern:" + ",".join(f"{0.2 + 0.6 * j / 63:.6f}" for j in range(64)))
+        spec = _spec(1, kind, 1.0)
+        mean, stderr = _selection_frequency_regret(inst, spec, 20, 5_000, 64)
+        exact = math.fsum(exact_regret_epochs(inst, spec, (1 << 20) - 1))
+        assert abs(mean - exact) <= 3.0 * stderr
+
+
+def _selection_frequency_regret(inst, spec, big_r, trials, seed):
+    """(estimate, stderr) of the regret at T = 2^big_r - 1 from
+    `selection_frequency`, which samples real scores and real noise, apart
+    from the epoch pmfs: mean(gaps) + sum_r 2^r (gaps . freq_r), with stderr
+    sqrt(sum_r 4^r var_r / trials)."""
+    mean, var = float(inst.gaps.mean()), 0.0
+    for r in range(1, big_r):
+        freq = selection_frequency(inst, spec, r, trials, seed)
+        picked = float(freq @ inst.gaps)
+        mean += (1 << r) * picked
+        var += (1 << r) ** 2 * (float(freq @ inst.gaps ** 2) - picked ** 2)
+    return mean, math.sqrt(var / trials)
 
 
 class TestBinomialCdf:

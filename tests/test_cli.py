@@ -185,6 +185,10 @@ class TestExact:
         assert main(["exact", "--instance", "det:0,1", "--eps", "nan", "--T", "7"]) == EXIT_USAGE
         assert "--eps" in capsys.readouterr().err
 
+    def test_infinite_epsilon_is_rejected(self, capsys):
+        assert main(["exact", "--instance", "det:0,1", "--eps", "inf", "--T", "7"]) == EXIT_USAGE
+        assert "--eps" in capsys.readouterr().err
+
     def test_means_outside_unit_interval_are_rejected(self, capsys):
         # Losses lie in [0, 1], and exact parses instances as run does.
         assert main(["exact", "--instance", "det:0,2", "--T", "7"]) == EXIT_USAGE

@@ -61,6 +61,11 @@ class TestLossModels:
         with pytest.raises(InvalidSupport):
             FiniteSupport(((1.5, 1.0),))
 
+    def test_nan_atom_probability_is_rejected(self):
+        # A NaN total passes |total - 1| > tol, and the means would be NaN.
+        with pytest.raises(InvalidProbabilities):
+            FiniteSupport(((0.5, float("nan")), (0.2, 1.0)))
+
     @given(st.lists(st.tuples(unit, st.floats(min_value=0.01, max_value=1.0)),
                     min_size=1, max_size=5))
     def test_finite_support_mean_matches_exact_rational(self, raw):
@@ -100,6 +105,22 @@ class TestInstance:
         with pytest.raises(OutOfRange):
             make_instance([])
 
+    def test_laws_hold_each_loss_as_two_points(self):
+        # Row (b, a, q): the loss is b + (a - b) Bernoulli(q), with a >= b.
+        inst = make_instance([
+            PointMass(0.3),
+            Bernoulli(0.25),
+            FiniteSupport(((0.7, 1.0),)),
+            FiniteSupport(((0.2, 0.75), (0.6, 0.25))),
+            FiniteSupport(((0.6, 0.25), (0.2, 0.75))),
+            FiniteSupport(((0.9, 0.0), (0.1, 0.5), (0.4, 0.5))),
+            FiniteSupport(((0.0, 0.3), (0.5, 0.3), (1.0, 0.4))),
+        ])
+        # assert_array_equal counts NaNs in the same places as equal.
+        np.testing.assert_array_equal(inst.laws, [
+            [0.3, 0.3, 0.0], [0.0, 1.0, 0.25], [0.7, 0.7, 0.0], [0.2, 0.6, 0.25],
+            [0.2, 0.6, 0.25], [0.1, 0.4, 0.5], [math.nan] * 3])
+
     @given(st.lists(unit, min_size=1, max_size=6))
     def test_gaps_nonnegative_and_one_zero(self, means):
         inst = make_instance([PointMass(m) for m in means])
@@ -130,6 +151,13 @@ class TestMechanismSpec:
         with pytest.raises(OutOfRange):
             MechanismSpec(0, kind, 1e-320)
         assert MechanismSpec(0, kind, 1e-300).scale() == pytest.approx(2e300)
+
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL,
+                                      NoiseKind.GUMBEL])
+    def test_infinite_epsilon_is_rejected(self, kind):
+        # The scale 2/eps would be 0, and every noisy pmf kernel divides by it.
+        with pytest.raises(OutOfRange):
+            MechanismSpec(0, kind, math.inf)
 
     def test_string_noise_coerced_to_enum(self):
         spec = MechanismSpec(1, "laplace", 2.0)

@@ -20,6 +20,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SWEEP_INSTANCES = ["paper-example", "bern:0,0.5", "bern:0.2,0.5,0.8", "grid:K=64"]
 
+# The graded Bernoulli instance of the bench's stochastic sweep.
+GRADED_64 = "bern:" + ",".join(f"{0.2 + 0.6 * j / 63:.6f}" for j in range(64))
+
 CASES = {
     "seed-gate.csv": ["run", "--instance", "grid:K=300", "--noise", "laplace", "--B", "1",
                       "--T", "1,6,63,1023,1073741823", "--trials", "300", "--seed", "17",
@@ -44,6 +47,12 @@ CASES = {
                                       "laplace", "--eps", "20", "--T", "1023"],
     "exact-bern-gumbel-eps2e4.txt": ["exact", "--instance", "bern:0.2,0.5", "--B", "1",
                                      "--T", "7", "--eps", "2e4", "--noise", "gumbel"],
+    # The noiseless tie kernel: 64 distinct laws, two points among 254 laws,
+    # and 7 copies of one law.
+    **{f"exact-none-{name}.txt": ["exact", "--instance", spec, "--B", "1", "--noise", "none",
+                                  "--T", "1048575"]
+       for name, spec in (("graded-64", GRADED_64), ("grid-256", "grid:K=256"),
+                          ("worst-np-8", "worst-np:K=8,delta=0.25"))},
 }
 
 
