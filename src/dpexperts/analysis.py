@@ -4,8 +4,9 @@ the sampler knows, and numeric verifiers for the directly evaluable bounds
 tail bounds, privacy ratios)."""
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
@@ -30,8 +31,6 @@ class SoftmaxSpec:
     function f(x) = sum_i t_i e^{-t_i} / sum_i e^{-t_i} with t_i = 2^x a_i."""
 
     a: np.ndarray
-    # Below this x neither 2^x nor any t_i = 2^x a_i overflows.
-    overflow_x: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=float)
@@ -42,49 +41,44 @@ class SoftmaxSpec:
             raise OutOfRange("a must be nonnegative")
         if a.min() > 1e-12:
             raise OutOfRange("a must contain a zero entry")
-        top = float(a.max())
-        safe_x = 1023.0 - math.log2(top) if top > 0.0 else math.inf
-        object.__setattr__(self, "overflow_x", min(safe_x, 1023.0))
 
 
-def softmax_f(spec: SoftmaxSpec, x: float) -> float:
-    """Evaluate f(x) with overflow-safe exponent shifting.
+def softmax_f(spec: SoftmaxSpec, x: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate f at a scalar x (a float back) or at an array of x (an array
+    back), by one overflow-safe formula for every x.
 
-    Where t_i = 2^x a_i overflows to inf, its weight e^{-(t_i - t_min)} is 0
-    (the zero entry keeps t_min finite), so the term is dropped rather than
-    contributing inf * 0 = nan.
+    t_i = 2^x a_i is scaled by the integer part of x with ldexp, which
+    saturates to inf where 2^x itself would overflow. Past 2^2200 every
+    positive t_i is inf, and below 2^-2200 every t_i is 0, so the exponent is
+    clipped there and fits the int32 that ldexp's vector loop takes. Where t_i
+    is inf its weight e^{-(t_i - t_min)} is 0 (the zero entry keeps t_min
+    finite), so the term is dropped rather than contributing inf * 0 = nan.
     """
-    if x < spec.overflow_x:
-        t = (2.0 ** x) * spec.a
-        w = np.exp(-(t - t.min()))
-        return float((t * w).sum() / w.sum())
-    # 2.0 ** x raises OverflowError from x = 1024 on, so scale by the integer
-    # part with ldexp, which saturates to inf. Past 2^2200 every positive t_i
-    # is inf anyway, so the exponent is capped there.
-    whole = math.floor(x)
+    x = np.asarray(x, dtype=float)
+    whole = np.floor(x)
     with np.errstate(over="ignore"):
-        t = np.ldexp((2.0 ** (x - whole)) * spec.a, min(whole, 2200))
-    w = np.exp(-(t - t.min()))
-    kept = w > 0.0
-    return float((t[kept] * w[kept]).sum() / w.sum())
+        t = np.ldexp(np.power(2.0, x - whole)[..., None] * spec.a,
+                     np.clip(whole, -2200, 2200).astype(np.int32)[..., None])
+    w = np.exp(t.min(axis=-1, keepdims=True) - t)
+    f = (np.where(w > 0.0, t, 0.0) * w).sum(axis=-1) / w.sum(axis=-1)
+    return float(f) if f.ndim == 0 else f
 
 
 def check_derivative_bound(spec: SoftmaxSpec, xs: Sequence[float], h: float) -> float:
-    """Max signed violation of f'(x) <= ln2 * f(x) by central finite differences."""
+    """Max signed violation of f'(x) <= ln2 * f(x) by central finite
+    differences over xs (-inf for no xs), from three array calls of f."""
     if h <= 0.0:
         raise OutOfRange("step h must be positive")
-    worst = -math.inf
-    for x in xs:
-        deriv = (softmax_f(spec, x + h) - softmax_f(spec, x - h)) / (2.0 * h)
-        worst = max(worst, deriv - math.log(2.0) * softmax_f(spec, x))
-    return worst
+    xs = np.asarray(xs, dtype=float)
+    deriv = (softmax_f(spec, xs + h) - softmax_f(spec, xs - h)) / (2.0 * h)
+    return float(np.max(deriv - math.log(2.0) * softmax_f(spec, xs), initial=-math.inf))
 
 
 def partial_sum_f(spec: SoftmaxSpec, big_r: int) -> float:
-    """Partial series sum_{r=1}^{R} f(r)."""
+    """Partial series sum_{r=1}^{R} f(r), from one array call of f."""
     if big_r < 1:
         raise OutOfRange("R must be >= 1")
-    return math.fsum(softmax_f(spec, r) for r in range(1, big_r + 1))
+    return math.fsum(softmax_f(spec, np.arange(1, big_r + 1)))
 
 
 def exact_regret_epochs(instance: Instance, spec: MechanismSpec, horizon: int) -> List[float]:
@@ -110,22 +104,21 @@ def exact_regret_epochs(instance: Instance, spec: MechanismSpec, horizon: int) -
     return contributions
 
 
+def _binomial_cdf_numerators(n: int, a: int, d: int) -> List[int]:
+    """Numerators of [P[X <= k] for k = 0..n], X ~ Binomial(n, a/d), over the
+    common denominator d^n, unreduced: prefix sums of the integer pmf terms
+    C(n, j) a^j (d - a)^{n-j}. CDFs at p = a/d for one d compare as integers."""
+    return list(itertools.accumulate(math.comb(n, j) * a ** j * (d - a) ** (n - j)
+                                     for j in range(n + 1)))
+
+
 def exact_binomial_cdfs(n: int, p: Fraction) -> List[Fraction]:
     """[P[X <= k] for k = 0..n], X ~ Binomial(n, p), in exact rational
-    arithmetic: O(n) pmf terms by the ratio of consecutive ones, then prefix sums."""
+    arithmetic: the integer numerators over p's denominator to the n."""
     p = Fraction(p)
-    q = 1 - p
-    if q == 0:
-        pmf = [Fraction(0)] * n + [Fraction(1)]
-    else:
-        pmf = [q ** n]
-        for i in range(1, n + 1):
-            pmf.append(pmf[-1] * (n - i + 1) * p / (i * q))
-    cdfs, acc = [], Fraction(0)
-    for term in pmf:
-        acc += term
-        cdfs.append(acc)
-    return cdfs
+    denominator = p.denominator ** n
+    return [Fraction(c, denominator)
+            for c in _binomial_cdf_numerators(n, p.numerator, p.denominator)]
 
 
 def tail_bound(kind: NoiseKind, r: int, delta: float, epsilon: float) -> float:

@@ -12,7 +12,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
@@ -20,8 +19,8 @@ import numpy as np
 from .analysis import (
     PARTIAL_SUM_CONSTANT,
     SoftmaxSpec,
+    _binomial_cdf_numerators,
     check_derivative_bound,
-    exact_binomial_cdfs,
     exact_regret_epochs,
     gumbel_privacy_ratio,
     partial_sum_f,
@@ -189,23 +188,21 @@ def check_tail_bounds() -> VerifyResult:
 
 
 def check_binomial_grid() -> VerifyResult:
-    """Binomial CDF is nonincreasing in p: exact rational arithmetic over the
-    0.05 grid for every n <= 50 and every k, plus agreement of the float CDF
-    built from the binomial pmf the sampler uses with the exact one."""
-    grid = [Fraction(i, 20) for i in range(21)]
+    """Binomial CDF is nonincreasing in p: exact integer arithmetic over the
+    common denominator 20^n, on the 0.05 grid for every n <= 50 and every k,
+    plus agreement of the float CDF built from the binomial pmf the sampler
+    uses with the exact one."""
     violations = 0
     float_err = 0.0
     for n in range(1, 51):
-        prev = None
-        for p in grid:
-            cur = exact_binomial_cdfs(n, p)
-            if prev is not None:
-                violations += sum(1 for a, b in zip(prev, cur) if a < b)
-            prev = cur
-        exact = exact_binomial_cdfs(n, Fraction(7, 20))
-        floats = binomial_cdf(n, 0.35)
+        # Numerators over the unreduced 20^n: at p = 10/20 they are not those
+        # over 2^n of p = 1/2, so every grid point shares one denominator.
+        rows = [_binomial_cdf_numerators(n, i, 20) for i in range(21)]
+        violations += sum(a < b for prev, cur in zip(rows, rows[1:])
+                          for a, b in zip(prev, cur))
+        floats = binomial_cdf(n, 0.35)  # rows[7]: p = 7/20
         for k in (0, n // 2, n):
-            float_err = max(float_err, abs(floats[k] - float(exact[k])))
+            float_err = max(float_err, abs(floats[k] - rows[7][k] / 20 ** n))
     passed = violations == 0 and float_err <= 1e-12
     return VerifyResult("binomial", passed,
                         f"{violations} exact violations; float vs exact err {float_err:.2e}")

@@ -17,17 +17,16 @@ import pytest
 from dpexperts import mechanism, verify
 
 # Seconds per suite: 20 times its median over 5 runs on a shared 2-core VM,
-# and at least 1 s, so that a budget catches a slowdown. Budgets only tighten:
-# binomial stays at 5 s, below the rule's 9 s.
+# and at least 1 s, so that a budget catches a slowdown. Budgets only tighten.
 BUDGETS = {
     "exact-vs-mc": 12.0,
     "shape-K": 1.0,
     "shape-eps": 1.0,
     "t-independence": 1.1,
     "monotonicity": 1.0,
-    "binomial": 5.0,
-    "softmax-derivative": 4.6,
-    "softmax-series": 7.2,
+    "binomial": 1.0,
+    "softmax-derivative": 1.0,
+    "softmax-series": 3.6,
     "privacy-gumbel": 1.0,
     "privacy-laplace": 3.9,
     "privacy-exponential": 3.9,

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dpexperts import verify
 from dpexperts.analysis import (
     PARTIAL_SUM_CONSTANT,
     AdjacencyViolation,
     SoftmaxSpec,
+    _binomial_cdf_numerators,
     check_derivative_bound,
     exact_binomial_cdfs,
     exact_regret_epochs,
@@ -26,7 +28,7 @@ from dpexperts.instances import (
     parse_instance_spec,
 )
 from dpexperts.mechanism import rnm_pmf_oracle
-from dpexperts.verify import binomial_cdf, exact_det_gumbel_regret
+from dpexperts.verify import binomial_cdf, check_binomial_grid, exact_det_gumbel_regret
 
 
 GUMBEL_1 = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=1.0)
@@ -187,7 +189,73 @@ def _selection_frequency_regret(inst, spec, big_r, trials, seed):
     return mean, math.sqrt(var / trials)
 
 
+def _ratio_recurrence_cdfs(n, p):
+    """Binomial(n, p) CDFs from pmf_i = pmf_{i-1} (n - i + 1) p / (i q) in
+    Fractions, prefix-summed: the reference for the integer numerators."""
+    p = Fraction(p)
+    q = 1 - p
+    if q == 0:
+        pmf = [Fraction(0)] * n + [Fraction(1)]
+    else:
+        pmf = [q ** n]
+        for i in range(1, n + 1):
+            pmf.append(pmf[-1] * (n - i + 1) * p / (i * q))
+    cdfs, acc = [], Fraction(0)
+    for term in pmf:
+        acc += term
+        cdfs.append(acc)
+    return cdfs
+
+
+def _violations(result):
+    return int(result.detail.split(" exact violations")[0])
+
+
 class TestBinomialCdf:
+    def test_integer_numerators_match_the_ratio_recurrence(self):
+        # The 0.05 grid over the unreduced 20^n, and p = 0 and p = 1 as 0/1 and 1/1.
+        for n in range(51):
+            for a, d in [(i, 20) for i in range(21)] + [(0, 1), (1, 1)]:
+                got = [Fraction(c, d ** n) for c in _binomial_cdf_numerators(n, a, d)]
+                assert got == _ratio_recurrence_cdfs(n, Fraction(a, d)), (n, a, d)
+
+    def test_grid_suite_fails_when_one_cdf_rises_in_p(self, monkeypatch):
+        real = verify._binomial_cdf_numerators
+
+        def risen(n, a, d):
+            row = real(n, a, d)
+            if (n, a) == (10, 9):
+                # P[X <= 3] at p = 9/20 one 20^-10 above its value at p = 8/20.
+                row[3] = real(n, a - 1, d)[3] + 1
+            return row
+
+        monkeypatch.setattr(verify, "_binomial_cdf_numerators", risen)
+        result = check_binomial_grid()
+        assert not result.passed
+        assert _violations(result) == 1
+
+    def test_grid_suite_compares_numerators_over_one_denominator(self, monkeypatch):
+        real = verify._binomial_cdf_numerators
+        denominators = set()
+
+        def recorded(n, a, d):
+            denominators.add(d)
+            return real(n, a, d)
+
+        monkeypatch.setattr(verify, "_binomial_cdf_numerators", recorded)
+        result = check_binomial_grid()
+        assert result.passed and _violations(result) == 0
+        assert denominators == {20}
+
+        # Reduced, 10/20 becomes 1/2 and its numerators count 2^-n: compared
+        # with neighbours over 20^n they read as violations.
+        def reduced(n, a, d):
+            g = math.gcd(a, d)
+            return real(n, a // g, d // g)
+
+        monkeypatch.setattr(verify, "_binomial_cdf_numerators", reduced)
+        assert _violations(check_binomial_grid()) > 0
+
     @given(st.integers(min_value=0, max_value=40),
            st.integers(min_value=0, max_value=40),
            st.fractions(min_value=0, max_value=1, max_denominator=1000))
@@ -258,12 +326,31 @@ class TestSoftmaxFunction:
         per_action = s * math.exp(-s) if s >= 1.0 else math.exp(-1.0)
         assert softmax_f(spec, x) <= (len(a) - 1) * per_action * (1.0 + 1e-12)
 
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(20)
+        worst = 0.0
+        for _ in range(40):
+            k = int(rng.integers(1, 601))
+            a = rng.uniform(0.0, 8.0, size=k)
+            a[rng.integers(k)] = 0.0
+            spec = SoftmaxSpec(a)
+            # The overflow region starts near x = 1020 for a_i near 8.
+            xs = np.concatenate([rng.uniform(-5.0, 60.0, 40), rng.uniform(1015.0, 1100.0, 20)])
+            scalar = [softmax_f(spec, float(x)) for x in xs]
+            assert all(type(v) is float for v in scalar)
+            scalar = np.array(scalar)
+            diff = np.abs(softmax_f(spec, xs) - scalar)
+            assert np.all(diff <= 4.0 * np.finfo(float).eps * scalar)
+            worst = max(worst, float((diff / np.maximum(scalar, np.finfo(float).tiny)).max()))
+        print(f"max |array - scalar| / scalar = {worst:.3e}")
+
     def test_derivative_bound_numeric(self):
         spec = SoftmaxSpec(np.array([0.0, 1.0, 3.0]))
         worst = check_derivative_bound(spec, np.linspace(-2.0, 10.0, 61), 1e-5)
         assert worst <= 1e-6
         with pytest.raises(OutOfRange):
             check_derivative_bound(spec, [0.0], 0.0)
+        assert check_derivative_bound(spec, [], 1e-5) == -math.inf
 
     @given(nonneg_weights)
     def test_partial_sum_below_constant_times_log_k(self, a):

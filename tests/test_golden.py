@@ -53,6 +53,9 @@ CASES = {
                                   "--T", "1048575"]
        for name, spec in (("graded-64", GRADED_64), ("grid-256", "grid:K=256"),
                           ("worst-np-8", "worst-np:K=8,delta=0.25"))},
+    # Suites whose verdicts and detail lines are exact or closed form.
+    **{f"verify-{suite}.txt": ["verify", suite]
+       for suite in ("binomial", "softmax-series", "softmax-derivative")},
 }
 
 
