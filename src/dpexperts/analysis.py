@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence
 
 import numpy as np
@@ -39,7 +38,7 @@ class SoftmaxSpec:
             raise OutOfRange("a must be nonempty")
         if a.min() < 0.0:
             raise OutOfRange("a must be nonnegative")
-        if a.min() > 1e-12:
+        if a.min() != 0.0:
             raise OutOfRange("a must contain a zero entry")
 
 
@@ -110,15 +109,6 @@ def _binomial_cdf_numerators(n: int, a: int, d: int) -> List[int]:
     C(n, j) a^j (d - a)^{n-j}. CDFs at p = a/d for one d compare as integers."""
     return list(itertools.accumulate(math.comb(n, j) * a ** j * (d - a) ** (n - j)
                                      for j in range(n + 1)))
-
-
-def exact_binomial_cdfs(n: int, p: Fraction) -> List[Fraction]:
-    """[P[X <= k] for k = 0..n], X ~ Binomial(n, p), in exact rational
-    arithmetic: the integer numerators over p's denominator to the n."""
-    p = Fraction(p)
-    denominator = p.denominator ** n
-    return [Fraction(c, denominator)
-            for c in _binomial_cdf_numerators(n, p.numerator, p.denominator)]
 
 
 def tail_bound(kind: NoiseKind, r: int, delta: float, epsilon: float) -> float:

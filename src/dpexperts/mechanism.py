@@ -20,8 +20,8 @@ TIE_RTOL = 1e-9
 
 # select_batch draws noise for this many float64 values at a time (512 KB), so
 # a block's uniforms and noisy values stay in cache and no (trials, K)
-# temporary is held. selection_pmf's (nodes, actions) temporaries are chunked
-# at the same size.
+# temporary is held. selection_pmf's (kept actions, nodes) temporaries are
+# chunked at the same size.
 SELECT_BLOCK_VALUES = 1 << 16
 
 # selection_pmf under Laplace and Exponential noise, in noise-scale units. An
@@ -106,46 +106,6 @@ def selection_pmf(scores: np.ndarray, spec: MechanismSpec) -> np.ndarray:
     return _hazard_pmf((scores - scores.min()) / spec.scale(), spec.noise)
 
 
-def _log_cdf_sum(kind: NoiseKind, y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_i log F(y_n + g_i) for each node y_n, with unit-scale noise CDF F.
-
-    Gumbel's log F(z) = -e^-z sums to -e^-y sum_i e^-g_i. A `PIECES` law is
-    written through t = e^-z, z = y + g, an outer product taken a chunk of
-    actions at a time: F = 1 + d t for z >= 0, d the table's d there, and,
-    the law being continuous at 0, F = e^min(z, 0) (1 + d min(t, 1)) below,
-    where the sum of the min(z, 0) over i comes from prefix sums of the
-    sorted g. A law with no mass below 0 is evaluated only at z > 0.
-    """
-    if kind is NoiseKind.GUMBEL:
-        return -np.exp(-y) * np.exp(-g).sum()
-    (_, d_lo), (_, d_hi) = PIECES[kind]
-    total = np.zeros(y.size)
-    cols = max(1, SELECT_BLOCK_VALUES // y.size)
-    exp_y = np.exp(-y)
-    for lo in range(0, g.size, cols):
-        t = np.multiply.outer(exp_y, np.exp(-g[lo:lo + cols]))
-        np.minimum(t, 1.0, out=t)
-        t *= d_hi
-        total += np.log1p(t, out=t).sum(axis=1)
-    if d_lo:
-        ordered = np.sort(g)
-        below = np.searchsorted(ordered, -y)
-        total += below * y + np.concatenate([[0.0], np.cumsum(ordered)])[below]
-    return total
-
-
-def _reversed_hazard(kind: NoiseKind, y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """h(y_n + g_j) = f/F of a unit-scale `PIECES` law, as a (nodes, actions)
-    matrix: -d t / (1 + d t) for t = min(e^-z, 1) and d the table's d at
-    z >= 0. Below 0 that is 1 = f/F for Laplace; a law with no mass below 0
-    is evaluated only at z > 0."""
-    t = np.multiply.outer(np.exp(-y), np.exp(-g))
-    np.minimum(t, 1.0, out=t)
-    t *= -PIECES[kind][1][1]
-    t /= 1.0 - t
-    return t
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(order: int = GL_ORDER):
     """Gauss-Legendre nodes and weights on [-1, 1], made on first use, so that
@@ -171,14 +131,16 @@ def _lower_cut(kind: NoiseKind, part: np.ndarray) -> float:
     that some factor F(y + 0) is 0, and so every integrand, below 0.
     """
     # b(lo) <= log F(lo + part[0]), which is -61 + log d for a law with mass
-    # d e^z below 0 and -61 for Gumbel.
+    # d e^z below 0 and -61 for Gumbel. Every grid point has y + part_i above
+    # lo + part[0], or above 0 for a law starting at 0, so no F there is 0.
     if kind is NoiseKind.GUMBEL:
         lo = -part[0] - math.log(61.0)
     else:
         lo = -part[0] - 61.0 if PIECES[kind][0][1] else 0.0
     for step in (4.0, 0.125):
-        lo += step * np.count_nonzero(
-            _log_cdf_sum(kind, lo + step * np.arange(1, 33), part) <= LOG_CUT)
+        y = lo + step * np.arange(1, 33)
+        b = np.log(noise_cdf(kind, y[:, None] + part, 1.0)).sum(axis=1)
+        lo += step * np.count_nonzero(b <= LOG_CUT)
     return lo
 
 
@@ -205,25 +167,35 @@ def _quadrature_nodes(kind: NoiseKind, g: np.ndarray):
 
 
 def _hazard_pmf(g: np.ndarray, kind: NoiseKind) -> np.ndarray:
-    """p_j = int h(y + g_j) W(y) dy for unit-scale Laplace or Exponential noise
-    and gaps g = (G - min G) / beta, every j at once.
+    """p_j = int f(y + g_j) prod_{i != j} F(y + g_i) dy for unit-scale Laplace
+    or Exponential noise and gaps g = (G - min G) / beta, every j at once.
 
-    W(y) = prod_i F(y + g_i) is the CDF of max_i(Q_i - g_i), shared by every
-    j, and h = f / F the reversed hazard, so p_j = int f(y + g_j) prod_{i != j}
-    F(y + g_i) dy. Each node takes one log-sum for W; p is then one product
-    of the (nodes, actions) matrix of h with the weighted W.
+    At each Gauss-Legendre node the product over the other actions is W / F_j
+    (`_add_exclusive_products`), a block of (kept actions, nodes) at a time,
+    with the node weights folded into f. F and f are read off t = e^-z for
+    z = y + g: F = 1 + d t and f = -d t at z >= 0, and F = f = d' / t below
+    0, for the `PIECES` d above 0 and d' below.
     """
     p = np.zeros(g.size)
     keep = np.flatnonzero(g <= PRUNE_SCALES)
     if keep.size == 1:
         p[keep] = 1.0
         return p
+    (_, d_lo), (_, d_hi) = PIECES[kind]
     gk = g[keep]
     y, w = _quadrature_nodes(kind, gk)
-    weighted = w * np.exp(_log_cdf_sum(kind, y, gk))
-    cols = max(1, SELECT_BLOCK_VALUES // y.size)
-    for lo in range(0, gk.size, cols):
-        p[keep[lo:lo + cols]] = weighted @ _reversed_hazard(kind, y, gk[lo:lo + cols])
+    exp_g = np.exp(-gk)
+    ones = np.ones(keep.size)
+    cols = max(1, SELECT_BLOCK_VALUES // keep.size)
+    for lo in range(0, y.size, cols):
+        t = np.multiply.outer(exp_g, np.exp(-y[lo:lo + cols]))
+        below = t > 1.0
+        cdf = 1.0 + d_hi * t
+        cdf[below] = d_lo / t[below]
+        pdf = np.multiply(t, -d_hi, out=t)
+        pdf[below] = cdf[below]
+        pdf *= w[lo:lo + cols]
+        _add_exclusive_products(p, keep, 1.0, pdf, cdf, ones)
     return p
 
 

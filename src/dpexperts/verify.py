@@ -56,7 +56,8 @@ def exact_det_gumbel_regret(means, epsilon: float, big_r: int) -> float:
 def binomial_cdf(n: int, p: float) -> np.ndarray:
     """[P[X <= k] for k = 0..n], X ~ Binomial(n, p), in floats: prefix sums of
     the pmf every stochastic epoch uses, `engine._binomial_pmf`, with 0 below
-    and 1 above the window it keeps. The float twin of `exact_binomial_cdfs`."""
+    and 1 above the window it keeps. The float twin of the exact numerators
+    over d^n of `_binomial_cdf_numerators`."""
     low, pmf = _binomial_pmf(n, p)
     cdf = np.ones(n + 1)
     cdf[:low] = 0.0

@@ -12,7 +12,6 @@ from dpexperts.analysis import (
     SoftmaxSpec,
     _binomial_cdf_numerators,
     check_derivative_bound,
-    exact_binomial_cdfs,
     exact_regret_epochs,
     gumbel_privacy_ratio,
     partial_sum_f,
@@ -262,7 +261,8 @@ class TestBinomialCdf:
     @settings(max_examples=200)
     def test_float_matches_exact_rational(self, k, extra, p):
         n = k + extra
-        exact = exact_binomial_cdfs(n, p)[k]
+        exact = Fraction(_binomial_cdf_numerators(n, p.numerator, p.denominator)[k],
+                         p.denominator ** n)
         assert binomial_cdf(n, float(p))[k] == pytest.approx(float(exact), abs=1e-9)
 
     def test_edges(self):
@@ -277,7 +277,8 @@ class TestBinomialCdf:
         grid = [Fraction(i, 10) for i in range(11)]
         for n in (1, 7, 20):
             for k in range(n + 1):
-                vals = [exact_binomial_cdfs(n, p)[k] for p in grid]
+                vals = [Fraction(_binomial_cdf_numerators(n, p.numerator, p.denominator)[k],
+                                 p.denominator ** n) for p in grid]
                 assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -294,6 +295,11 @@ class TestSoftmaxFunction:
             SoftmaxSpec(np.array([-1.0, 0.0]))
         with pytest.raises(OutOfRange):
             SoftmaxSpec(np.array([]))
+
+    def test_spec_rejects_a_small_positive_minimum(self):
+        # t_min = 1e-13 2^1100 overflows, and inf - inf would make f nan.
+        with pytest.raises(OutOfRange):
+            SoftmaxSpec(np.array([1e-13, 8.0]))
 
     @given(nonneg_weights, st.floats(min_value=-5.0, max_value=1100.0, allow_nan=False))
     # 2^x * 8 overflows to inf while its weight underflows to 0: inf * 0 gave nan.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -352,15 +353,13 @@ T_FORM_Z = {
 
 
 class TestTForms:
-    """The `PIECES` laws and the kernel's t-forms against mpmath, element by
-    element.
+    """The `PIECES` laws against mpmath, element by element.
 
-    Each form starts from t = e^-z, which exp rounds to within an ulp of 1
-    relative, and reads F = 1 + d t off it. Where F is near 0 that is a
-    difference of nearly equal numbers, so the forms are accurate to about
-    ulp(1) / F: log F to that absolutely, f/F relatively. That is the
-    error they are meant to have: where F is small, so is every integrand
-    with that factor."""
+    `_hazard_pmf` reads the same table through t = e^-z, which exp rounds
+    to within an ulp of 1 relative, and takes F = 1 + d t off it.
+    Where F is near 0 that is a difference of nearly equal numbers, so F is
+    accurate to about ulp(1) / F relatively. That is the error it is meant
+    to have: where F is small, so is every integrand with that factor."""
 
     @pytest.mark.parametrize("kind", list(PIECES))
     def test_table_cdf_and_pdf(self, kind):
@@ -376,31 +375,28 @@ class TestTForms:
             assert np.all(got[want == 0.0] == 0.0)
             assert np.all(np.abs(got[want != 0.0] / want[want != 0.0] - 1.0) <= 1e-15)
 
-    @pytest.mark.parametrize("kind", list(PIECES))
-    def test_log_cdf_of_one_action(self, kind):
-        z = T_FORM_Z[kind]
-        got = mechanism._log_cdf_sum(kind, z, np.array([0.0]))
-        cdf, _ = _mp_unit_noise(kind)
-        # 1 - F is down to e^-700 / 2, so F needs over 300 digits.
-        with mp.workdps(330):
-            cdfs = [cdf(mp.mpf(x)) for x in z]
-            log_cdf = np.array([float(mp.log(c)) for c in cdfs])
-            odds = np.array([float((1 - c) / c) for c in cdfs])
-        # t's rounding moves log F by ulp(1) (1 - F) / F; log1p rounds its
-        # result, so log F keeps its relative accuracy where F is near 1.
-        ulp = np.finfo(float).eps
-        assert np.all(np.abs(got - log_cdf) <= 2.0 * ulp * (odds + np.abs(log_cdf)))
+# (kind, part): one action at 0, 256 graded gaps, and a Gumbel grid 40
+# scales wide, whose first factor starts near e^-61.
+LOWER_CUT_PARTS = [(kind, part) for kind in (*PIECES, NoiseKind.GUMBEL)
+                   for part in (np.zeros(1), 0.02 * np.arange(256))]
+LOWER_CUT_PARTS.append((NoiseKind.GUMBEL, np.linspace(0.0, 40.0, 256)))
 
-    @pytest.mark.parametrize("kind", list(PIECES))
-    def test_reversed_hazard(self, kind):
-        z = T_FORM_Z[kind]
-        got = mechanism._reversed_hazard(kind, z, np.array([0.0]))[:, 0]
-        cdf, pdf = _mp_unit_noise(kind)
-        with mp.workdps(40):
-            cdfs = np.array([float(cdf(mp.mpf(x))) for x in z])
-            hazard = np.array([float(pdf(mp.mpf(x)) / cdf(mp.mpf(x))) for x in z])
-        ulp = np.finfo(float).eps
-        assert np.all(np.abs(got / hazard - 1.0) <= 2.0 * ulp / cdfs)
+
+class TestLowerCut:
+    @pytest.mark.parametrize("kind, part", LOWER_CUT_PARTS)
+    def test_cut_is_the_last_grid_point_at_or_below_log_cut(self, kind, part):
+        # b(y) = sum_i log F(y + part_i) in mpmath: b(lo) <= LOG_CUT < b(lo + 1/8).
+        # A law with no mass below 0 may stay at its start of 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lo = mechanism._lower_cut(kind, part)
+        cdf, _ = _mp_unit_noise(kind)
+        with mp.workdps(30):
+            def b(y):
+                return mp.fsum(mp.log(cdf(mp.mpf(y) + mp.mpf(x))) for x in part)
+            if not (kind is NoiseKind.EXPONENTIAL and lo == 0.0):
+                assert b(lo) <= mechanism.LOG_CUT
+            assert b(lo + 0.125) > mechanism.LOG_CUT
 
 
 def unit_log_cdf_pdf(z, kind: NoiseKind):
