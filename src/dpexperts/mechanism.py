@@ -95,12 +95,13 @@ def selection_pmf(scores: np.ndarray, spec: MechanismSpec) -> np.ndarray:
 
     Gumbel noise gives the softmax, `log_gumbel_selection_pmf`; no noise
     splits the tie set evenly; Laplace and Exponential noise integrate
-    `_hazard_pmf` by Gauss-Legendre quadrature, to about 1e-13.
+    `_hazard_pmf` by Gauss-Legendre quadrature, to about 1e-13. The Gumbel
+    and noiseless pmfs work along the last axis, one pmf per row of a stack.
     """
     scores = np.asarray(scores, dtype=float)
     if spec.noise is NoiseKind.NONE:
-        ties = _tie_mask(scores, scores.min())
-        return ties / ties.sum()
+        ties = _tie_mask(scores, scores.min(axis=-1, keepdims=True))
+        return ties / ties.sum(axis=-1, keepdims=True)
     if spec.noise is NoiseKind.GUMBEL:
         return np.exp(log_gumbel_selection_pmf(scores, spec.epsilon))
     return _hazard_pmf((scores - scores.min()) / spec.scale(), spec.noise)
@@ -496,7 +497,7 @@ def log_gumbel_selection_pmf(scores: np.ndarray, epsilon: float) -> np.ndarray:
 
 def _closed_form_pmf(scores: np.ndarray, kind: NoiseKind) -> np.ndarray:
     """p_j = int f(q) prod_{i != j} F(q + G_i - G_j) dq for unit-scale Laplace
-    or Exponential noise, every j at once.
+    or Exponential noise, every j of every row of a (m, K) stack at once.
 
     Between consecutive breakpoints (0 and the G_j - G_i) every factor is a
     constant plus one exponential, so the integrand is a Laurent polynomial in
@@ -506,17 +507,26 @@ def _closed_form_pmf(scores: np.ndarray, kind: NoiseKind) -> np.ndarray:
     every coefficient stays bounded however wide the gaps, and a term
     integrates to coef * (1 - exp(-|n| width)) / |n| without overflow. The
     constant term integrates to coef * width.
+
+    The stack is taken in chunks of rows whose coefficient arrays hold at most
+    SELECT_BLOCK_VALUES values, and each row's arithmetic is that of a stack
+    of one, so a row's pmf does not depend on the stack around it.
     """
-    k = scores.size
-    # Row j holds action j's factors: the density (shift 0), then F(q + G_i - G_j).
+    m, k = scores.shape
+    chunk = max(1, SELECT_BLOCK_VALUES // (2 * k * (k + 1) * (2 * k + 1)))
+    if m > chunk:
+        return np.concatenate([_closed_form_pmf(scores[lo:lo + chunk], kind)
+                               for lo in range(0, m, chunk)])
+    # Row j of a vector holds action j's factors: the density (shift 0), then
+    # F(q + G_i - G_j).
     others = ~np.eye(k, dtype=bool)
-    shifts = np.zeros((k, k))
-    shifts[:, 1:] = (scores[None, :] - scores[:, None])[others].reshape(k, k - 1)
+    shifts = np.zeros((m, k, k))
+    shifts[..., 1:] = (scores[:, None, :] - scores[:, :, None])[:, others].reshape(m, k, k - 1)
     # Row j's segments; repeated breakpoints leave zero-width segments, which
     # integrate to 0.
-    edges = np.sort(-shifts, axis=1)
-    lo = np.concatenate([np.full((k, 1), -np.inf), edges], axis=1)
-    hi = np.concatenate([edges, np.full((k, 1), np.inf)], axis=1)
+    edges = np.sort(-shifts, axis=-1)
+    lo = np.concatenate([np.full((m, k, 1), -np.inf), edges], axis=-1)
+    hi = np.concatenate([edges, np.full((m, k, 1), np.inf)], axis=-1)
     width = hi - lo
     # Unbounded segments are anchored at their finite end: there, every term
     # that would grow towards the infinite end has coefficient zero.
@@ -525,12 +535,12 @@ def _closed_form_pmf(scores: np.ndarray, kind: NoiseKind) -> np.ndarray:
     # The density's rows: d e^-|x| on each side.
     density = tuple((0.0, abs(d)) for _, d in rows)
 
-    # coef[e, j, s, n + k]: coefficient of w^n in row j on segment s, anchored
-    # at the segment's left (e = 0) or right (e = 1) end.
-    coef = np.zeros((2, k, k + 1, 2 * k + 1))
+    # coef[e, r, j, s, n + k]: coefficient of w^n in row j of vector r on
+    # segment s, anchored at the segment's left (e = 0) or right (e = 1) end.
+    coef = np.zeros((2, m, k, k + 1, 2 * k + 1))
     coef[..., k] = 1.0
     for col in range(k):
-        shift = shifts[:, col:col + 1]
+        shift = shifts[..., col:col + 1]
         neg, pos = density if col == 0 else rows
         # The factor's argument q + shift is >= 0 on the whole segment or < 0
         # on it; e^-|x| is e^(sigma x) with sigma = 1 below 0 and -1 above.
@@ -543,25 +553,28 @@ def _closed_form_pmf(scores: np.ndarray, kind: NoiseKind) -> np.ndarray:
         grown[..., :-1] += np.where(sigma < 0, term, 0.0)[..., None] * coef[..., 1:]
         coef = grown
 
-    m = np.arange(1, k + 1)
-    decay = -np.expm1(-m * width[..., None]) / m  # (1 - exp(-|n| width)) / |n|, |n| = 1..k
+    n = np.arange(1, k + 1)
+    decay = -np.expm1(-n * width[..., None]) / n  # (1 - exp(-|n| width)) / |n|, |n| = 1..k
     finite_width = np.where(np.isfinite(width), width, 0.0)
-    return ((coef[1, ..., k + 1:] * decay).sum(axis=(1, 2))
-            + (coef[0, ..., :k] * decay[..., ::-1]).sum(axis=(1, 2))
-            + (coef[0, ..., k] * finite_width).sum(axis=1))
+    return ((coef[1, ..., k + 1:] * decay).sum(axis=(-2, -1))
+            + (coef[0, ..., :k] * decay[..., ::-1]).sum(axis=(-2, -1))
+            + (coef[0, ..., k] * finite_width).sum(axis=-1))
 
 
 def rnm_pmf_oracle(scores: np.ndarray, spec: MechanismSpec) -> np.ndarray:
     """Exact selection pmf: p_j = int f(q) prod_{i != j} F(q + G_i - G_j) dq.
 
-    Laplace and Exponential noise use the piecewise closed form of
-    `_closed_form_pmf`, independent of the samplers; Gumbel noise uses its
-    softmax closed form, `log_gumbel_selection_pmf`; no noise splits ties evenly.
+    Works along the last axis, so a (m, K) stack of score vectors gives m
+    pmfs in one call, each bitwise the pmf of its row alone. Laplace and
+    Exponential noise use the piecewise closed form of `_closed_form_pmf`,
+    independent of the samplers; Gumbel noise uses its softmax closed form,
+    `log_gumbel_selection_pmf`; no noise splits each row's ties evenly.
     """
     scores = np.asarray(scores, dtype=float)
-    k = scores.size
+    k = scores.shape[-1]
     if k > ORACLE_MAX_ACTIONS:
         raise TooManyActions(f"oracle supports at most {ORACLE_MAX_ACTIONS} actions, got {k}")
     if spec.noise in (NoiseKind.NONE, NoiseKind.GUMBEL):
         return selection_pmf(scores, spec)
-    return _closed_form_pmf(scores / spec.scale(), spec.noise)
+    stack = (scores / spec.scale()).reshape(-1, k)
+    return _closed_form_pmf(stack, spec.noise).reshape(scores.shape)

@@ -7,14 +7,19 @@ which draws real noise, with the exact selection pmf for every noise kind, at
 B=0 and B=1, and must fail when that pmf is wrong. It is the one check of the
 score and selection samplers; criteria 4, 5, 9 and 10 read the exact pmfs.
 Criterion 8 is split by noise family; every family runs at scale 2/eps and
-must meet e^eps under per-coordinate perturbations in {-1, 0, 1}. Criteria 11
+must meet e^eps under per-coordinate perturbations in {-1, 0, 1}, and the
+Exponential suite must fail at scale 1/eps. Criteria 11
 and 12 sample regret and noise.
 """
+import dataclasses
+import math
 import time
 
+import numpy as np
 import pytest
 
 from dpexperts import mechanism, verify
+from dpexperts.core import NoiseKind
 
 # Seconds per suite: 20 times its median over 5 runs on a shared 2-core VM,
 # and at least 1 s, so that a budget catches a slowdown. Budgets only tighten.
@@ -28,8 +33,8 @@ BUDGETS = {
     "softmax-derivative": 1.0,
     "softmax-series": 3.6,
     "privacy-gumbel": 1.0,
-    "privacy-laplace": 3.9,
-    "privacy-exponential": 3.9,
+    "privacy-laplace": 1.0,
+    "privacy-exponential": 1.0,
     "tails": 1.0,
     "resampling": 1.0,
     "laplace-shape": 1.2,
@@ -115,6 +120,49 @@ def test_criterion_08c_privacy_ratio_exponential():
     # grid ratio is e^{2 eps} (7.389 at eps = 2), not 2e^eps - 1, which is the
     # ratio of the two-action pair (0, 1) / (1, 0).
     _run("criterion 8c: Exponential privacy ratio <= e^eps", "privacy-exponential")
+
+
+# 1/2 e^-a (1 + a/2) and 1/2 e^-a: the worse action's p among two actions
+# whose scores differ by a noise scales.
+TWO_ACTION_PICK = {
+    NoiseKind.LAPLACE: lambda a: 0.5 * np.exp(-a) * (1.0 + a / 2.0),
+    NoiseKind.EXPONENTIAL: lambda a: 0.5 * np.exp(-a),
+}
+
+
+@pytest.mark.parametrize("kind", list(TWO_ACTION_PICK))
+def test_criterion_08_two_action_grid_pmfs_match_closed_forms(monkeypatch, kind):
+    # Every two-action pmf the privacy grid scores, base vectors and stacked
+    # neighbours alike: one K = 2 base vector per eps and its 8 neighbours.
+    seen = []
+    oracle = verify.rnm_pmf_oracle
+
+    def recorded(scores, spec):
+        pmf = oracle(scores, spec)
+        if scores.shape[-1] == 2:
+            seen.append((scores.reshape(-1, 2), spec.scale(), pmf.reshape(-1, 2)))
+        return pmf
+
+    monkeypatch.setattr(verify, "rnm_pmf_oracle", recorded)
+    assert verify.SUITES[f"privacy-{kind.value}"]().passed
+    assert sum(len(scores) for scores, _, _ in seen) == 3 * (1 + 8)
+    for scores, beta, pmf in seen:
+        d = scores[:, 1] - scores[:, 0]
+        worse = TWO_ACTION_PICK[kind](np.abs(d) / beta)
+        assert np.abs(pmf[:, 1] - np.where(d > 0.0, worse, 1.0 - worse)).max() <= 1e-12
+        assert np.abs(pmf[:, 0] - np.where(d > 0.0, 1.0 - worse, worse)).max() <= 1e-12
+
+
+def test_criterion_08c_fails_at_scale_one_over_eps(monkeypatch):
+    # Exponential report-noisy-max at scale 1/eps is only 2eps-DP: the worst
+    # grid ratio is e^{2 eps}, and the suite must see it.
+    oracle = verify.rnm_pmf_oracle
+    monkeypatch.setattr(verify, "rnm_pmf_oracle", lambda scores, spec: oracle(
+        scores, dataclasses.replace(spec, epsilon=2.0 * spec.epsilon)))
+    for eps in (0.5, 1.0, 2.0):
+        ratio = verify._oracle_ratio_grid(NoiseKind.EXPONENTIAL, eps, np.random.default_rng(4))
+        assert ratio == pytest.approx(math.exp(2.0 * eps), rel=1e-12)
+    assert not verify.SUITES["privacy-exponential"]().passed
 
 
 def test_criterion_09_selection_tail_bounds():

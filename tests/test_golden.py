@@ -55,7 +55,8 @@ CASES = {
                           ("worst-np-8", "worst-np:K=8,delta=0.25"))},
     # Suites whose verdicts and detail lines are exact or closed form.
     **{f"verify-{suite}.txt": ["verify", suite]
-       for suite in ("binomial", "softmax-series", "softmax-derivative")},
+       for suite in ("binomial", "softmax-series", "softmax-derivative",
+                     "privacy-laplace", "privacy-exponential")},
 }
 
 

@@ -343,6 +343,48 @@ class TestQuadratureOracle:
             rnm_pmf_oracle(np.zeros(ORACLE_MAX_ACTIONS + 1), spec)
 
 
+def _spec(kind: NoiseKind) -> MechanismSpec:
+    return MechanismSpec(0, kind, epsilon=0.0 if kind is NoiseKind.NONE else 1.5)
+
+
+class TestOracleStack:
+    """`rnm_pmf_oracle` along the last axis: each row of a (m, K) stack gets
+    bitwise the pmf of a call on that row alone."""
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("k", range(2, ORACLE_MAX_ACTIONS + 1))
+    def test_stack_equals_per_vector_calls(self, kind, k):
+        # Scores on a 0.25 grid tie often, within rows and across them.
+        scores = np.random.default_rng(k).integers(0, 9, size=(30, k)) / 4.0
+        stacked = rnm_pmf_oracle(scores, _spec(kind))
+        assert stacked.shape == scores.shape
+        assert np.array_equal(stacked, [rnm_pmf_oracle(row, _spec(kind)) for row in scores])
+
+    def test_no_noise_splits_each_rows_own_ties(self):
+        scores = np.array([[1.0, 1.0, 2.0], [3.0, 2.0, 2.0], [4.0, 4.0, 4.0]])
+        pmf = rnm_pmf_oracle(scores, _spec(NoiseKind.NONE))
+        assert pmf.tolist() == [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3]]
+
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL])
+    def test_stack_wider_than_one_chunk(self, kind):
+        k, m = ORACLE_MAX_ACTIONS, 100
+        # One row's coefficient arrays hold 2K(K+1)(2K+1) values.
+        assert m * 2 * k * (k + 1) * (2 * k + 1) > 3 * SELECT_BLOCK_VALUES
+        scores = np.random.default_rng(9).uniform(0.0, 3.0, size=(m, k))
+        stacked = rnm_pmf_oracle(scores, _spec(kind))
+        assert np.array_equal(stacked, [rnm_pmf_oracle(row, _spec(kind)) for row in scores])
+        # A stack of any leading shape is scored row by row too.
+        assert np.array_equal(rnm_pmf_oracle(scores.reshape(4, 25, k), _spec(kind)),
+                              stacked.reshape(4, 25, k))
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_action_cap_reads_the_last_axis(self, kind):
+        with pytest.raises(TooManyActions):
+            rnm_pmf_oracle(np.zeros((3, ORACLE_MAX_ACTIONS + 1)), _spec(kind))
+        assert rnm_pmf_oracle(np.zeros((ORACLE_MAX_ACTIONS + 1, 2)), _spec(kind)).shape == (
+            ORACLE_MAX_ACTIONS + 1, 2)
+
+
 # Unit-scale arguments on both sides of 0; Exponential's t-forms are only
 # evaluated at z > 0.
 T_FORM_Z = {
