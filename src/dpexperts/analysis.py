@@ -1,7 +1,7 @@
 """The exact regret calculator, from the epoch selection pmfs of every instance
 the sampler knows, and numeric verifiers for the directly evaluable bounds
 (exact binomial CDFs, softmax-function derivative and series bounds, selection
-tail bounds, privacy ratios)."""
+tail bounds)."""
 from __future__ import annotations
 
 import itertools
@@ -13,15 +13,12 @@ import numpy as np
 
 from .core import Instance, MechanismSpec, NoiseKind, OutOfRange
 from .engine import epoch_lengths, epoch_pmfs
-from .mechanism import log_gumbel_selection_pmf
+# Not called here: bench/run.py times the Gumbel pmf by wrapping this name (ROADMAP item 7).
+from .mechanism import log_gumbel_selection_pmf  # noqa: F401
 
 # Testable constant for the partial-sum bound: sum_{r>=1} f(r) <= (1 + ln 2) *
 # integral_0^inf f, and the integral telescopes to at most (ln K) / ln 2.
 PARTIAL_SUM_CONSTANT = (1.0 + math.log(2.0)) / math.log(2.0)
-
-
-class AdjacencyViolation(ValueError):
-    """Score vectors differ by more than 1 in some coordinate."""
 
 
 @dataclass(frozen=True)
@@ -135,22 +132,3 @@ def tail_bound(kind: NoiseKind, r: int, delta: float, epsilon: float) -> float:
     if kind is NoiseKind.LAPLACE:
         return 2.0 * math.exp(-(2.0 ** (r + 1)) * delta * min(delta, epsilon) / 8.0)
     raise OutOfRange(f"no tail bound for noise kind {kind!r}")
-
-
-def gumbel_privacy_ratio(scores: np.ndarray, scores_prime: np.ndarray,
-                         epsilon: float):
-    """max_j p_j(G) / p_j(G') for the exact Gumbel selection pmfs of two score
-    vectors differing by at most 1 per coordinate.
-
-    scores_prime may also be an (m, K) array of neighbours of the one vector
-    G; the m ratios then come back as an array, scored in one call.
-    """
-    g = np.asarray(scores, dtype=float)
-    gp = np.asarray(scores_prime, dtype=float)
-    if g.ndim != 1 or gp.shape[-1:] != g.shape or gp.ndim > 2:
-        raise AdjacencyViolation("score vectors must have the same length")
-    if np.abs(g - gp).max() > 1.0 + 1e-12:
-        raise AdjacencyViolation("score vectors differ by more than 1 in a coordinate")
-    diff = log_gumbel_selection_pmf(g, epsilon) - log_gumbel_selection_pmf(gp, epsilon)
-    ratio = np.exp(diff.max(axis=-1))
-    return float(ratio) if gp.ndim == 1 else ratio

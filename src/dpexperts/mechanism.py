@@ -95,8 +95,9 @@ def selection_pmf(scores: np.ndarray, spec: MechanismSpec) -> np.ndarray:
 
     Gumbel noise gives the softmax, `log_gumbel_selection_pmf`; no noise
     splits the tie set evenly; Laplace and Exponential noise integrate
-    `_hazard_pmf` by Gauss-Legendre quadrature, to about 1e-13. The Gumbel
-    and noiseless pmfs work along the last axis, one pmf per row of a stack.
+    `_hazard_pmf` by Gauss-Legendre quadrature, to about 1e-13, on one vector
+    only. The Gumbel and noiseless pmfs work along the last axis, one pmf per
+    row of a stack.
     """
     scores = np.asarray(scores, dtype=float)
     if spec.noise is NoiseKind.NONE:
@@ -104,6 +105,9 @@ def selection_pmf(scores: np.ndarray, spec: MechanismSpec) -> np.ndarray:
         return ties / ties.sum(axis=-1, keepdims=True)
     if spec.noise is NoiseKind.GUMBEL:
         return np.exp(log_gumbel_selection_pmf(scores, spec.epsilon))
+    if scores.ndim != 1:
+        raise ValueError(f"one score vector only under {spec.noise.value} noise; "
+                         f"rnm_pmf_oracle takes stacks (K <= {ORACLE_MAX_ACTIONS})")
     return _hazard_pmf((scores - scores.min()) / spec.scale(), spec.noise)
 
 

@@ -7,9 +7,9 @@ which draws real noise, with the exact selection pmf for every noise kind, at
 B=0 and B=1, and must fail when that pmf is wrong. It is the one check of the
 score and selection samplers; criteria 4, 5, 9 and 10 read the exact pmfs.
 Criterion 8 is split by noise family; every family runs at scale 2/eps and
-must meet e^eps under per-coordinate perturbations in {-1, 0, 1}, and the
-Exponential suite must fail at scale 1/eps. Criteria 11
-and 12 sample regret and noise.
+must meet e^eps under per-coordinate perturbations in {-1, 0, 1} (Gumbel
+also in {-0.5, 0.5}), and every family's suite must fail at scale 1/eps.
+Criteria 11 and 12 sample regret and noise.
 """
 import dataclasses
 import math
@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import special
 
 from dpexperts import mechanism, verify
 from dpexperts.core import NoiseKind
@@ -122,18 +123,27 @@ def test_criterion_08c_privacy_ratio_exponential():
     _run("criterion 8c: Exponential privacy ratio <= e^eps", "privacy-exponential")
 
 
-# 1/2 e^-a (1 + a/2) and 1/2 e^-a: the worse action's p among two actions
-# whose scores differ by a noise scales.
+# 1/2 e^-a (1 + a/2), 1/2 e^-a and the logistic expit(-a): the worse
+# action's p among two actions whose scores differ by a noise scales.
 TWO_ACTION_PICK = {
     NoiseKind.LAPLACE: lambda a: 0.5 * np.exp(-a) * (1.0 + a / 2.0),
     NoiseKind.EXPONENTIAL: lambda a: 0.5 * np.exp(-a),
+    NoiseKind.GUMBEL: lambda a: special.expit(-a),
+}
+
+# K = 2 base vectors each suite draws, and the neighbours of each: 3 over
+# 3^2 - 1 shifts for Laplace and Exponential, 15 over 5^2 - 1 for Gumbel.
+TWO_ACTION_GRID = {
+    NoiseKind.LAPLACE: (3, 8),
+    NoiseKind.EXPONENTIAL: (3, 8),
+    NoiseKind.GUMBEL: (15, 24),
 }
 
 
 @pytest.mark.parametrize("kind", list(TWO_ACTION_PICK))
 def test_criterion_08_two_action_grid_pmfs_match_closed_forms(monkeypatch, kind):
     # Every two-action pmf the privacy grid scores, base vectors and stacked
-    # neighbours alike: one K = 2 base vector per eps and its 8 neighbours.
+    # neighbours alike.
     seen = []
     oracle = verify.rnm_pmf_oracle
 
@@ -145,7 +155,8 @@ def test_criterion_08_two_action_grid_pmfs_match_closed_forms(monkeypatch, kind)
 
     monkeypatch.setattr(verify, "rnm_pmf_oracle", recorded)
     assert verify.SUITES[f"privacy-{kind.value}"]().passed
-    assert sum(len(scores) for scores, _, _ in seen) == 3 * (1 + 8)
+    bases, neighbours = TWO_ACTION_GRID[kind]
+    assert sum(len(scores) for scores, _, _ in seen) == bases * (1 + neighbours)
     for scores, beta, pmf in seen:
         d = scores[:, 1] - scores[:, 0]
         worse = TWO_ACTION_PICK[kind](np.abs(d) / beta)
@@ -153,16 +164,32 @@ def test_criterion_08_two_action_grid_pmfs_match_closed_forms(monkeypatch, kind)
         assert np.abs(pmf[:, 0] - np.where(d > 0.0, 1.0 - worse, worse)).max() <= 1e-12
 
 
-def test_criterion_08c_fails_at_scale_one_over_eps(monkeypatch):
-    # Exponential report-noisy-max at scale 1/eps is only 2eps-DP: the worst
-    # grid ratio is e^{2 eps}, and the suite must see it.
+def _oracle_at_scale_one_over_eps(monkeypatch):
     oracle = verify.rnm_pmf_oracle
     monkeypatch.setattr(verify, "rnm_pmf_oracle", lambda scores, spec: oracle(
         scores, dataclasses.replace(spec, epsilon=2.0 * spec.epsilon)))
+
+
+def test_criterion_08c_fails_at_scale_one_over_eps(monkeypatch):
+    # Exponential report-noisy-max at scale 1/eps is only 2eps-DP: the worst
+    # grid ratio is e^{2 eps}, and the suite must see it.
+    _oracle_at_scale_one_over_eps(monkeypatch)
     for eps in (0.5, 1.0, 2.0):
         ratio = verify._oracle_ratio_grid(NoiseKind.EXPONENTIAL, eps, np.random.default_rng(4))
         assert ratio == pytest.approx(math.exp(2.0 * eps), rel=1e-12)
     assert not verify.SUITES["privacy-exponential"]().passed
+
+
+@pytest.mark.parametrize("kind", [NoiseKind.GUMBEL, NoiseKind.LAPLACE])
+def test_criterion_08ab_fail_at_scale_one_over_eps(monkeypatch, kind):
+    # Scores move by up to 1 in either direction, so at scale 1/eps the
+    # Gumbel and Laplace grids see ratios above e^eps too.
+    _oracle_at_scale_one_over_eps(monkeypatch)
+    result = verify.SUITES[f"privacy-{kind.value}"]()
+    assert not result.passed
+    if kind is NoiseKind.GUMBEL:
+        # One failure per base vector, the first that vector's worst ratio.
+        assert result.detail == "eps=0.5: ratio 2.605227"
 
 
 def test_criterion_09_selection_tail_bounds():

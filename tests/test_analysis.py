@@ -8,12 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from dpexperts import verify
 from dpexperts.analysis import (
     PARTIAL_SUM_CONSTANT,
-    AdjacencyViolation,
     SoftmaxSpec,
     _binomial_cdf_numerators,
     check_derivative_bound,
     exact_regret_epochs,
-    gumbel_privacy_ratio,
     partial_sum_f,
     softmax_f,
     tail_bound,
@@ -388,36 +386,3 @@ class TestTailBounds:
             tail_bound(NoiseKind.GUMBEL, 3, 0.5, -1.0)
         with pytest.raises(OutOfRange):
             tail_bound(NoiseKind.NONE, 3, 0.5, 1.0)
-
-
-class TestGumbelPrivacyRatio:
-    def test_identical_scores_give_ratio_one(self):
-        g = np.array([1.0, 2.0, 0.5])
-        assert gumbel_privacy_ratio(g, g, 1.0) == pytest.approx(1.0)
-
-    def test_unit_shift_bounded_by_exp_eps(self):
-        g = np.array([0.0, 3.0])
-        for eps in (0.5, 1.0, 2.0):
-            ratio = gumbel_privacy_ratio(g, g + np.array([1.0, -1.0]), eps)
-            assert ratio <= math.exp(eps) + 1e-12
-
-    def test_adjacency_enforced(self):
-        with pytest.raises(AdjacencyViolation):
-            gumbel_privacy_ratio(np.array([0.0, 0.0]), np.array([0.0, 1.5]), 1.0)
-        with pytest.raises(AdjacencyViolation):
-            gumbel_privacy_ratio(np.array([0.0]), np.array([0.0, 0.0]), 1.0)
-        with pytest.raises(AdjacencyViolation):
-            gumbel_privacy_ratio(np.zeros(3), np.array([[0.0, 0.5, 0.0], [0.0, 0.0, -1.5]]), 1.0)
-        with pytest.raises(AdjacencyViolation):
-            gumbel_privacy_ratio(np.zeros(3), np.zeros((4, 2)), 1.0)
-
-    def test_batched_ratios_match_pairwise(self):
-        rng = np.random.default_rng(17)
-        for k in (2, 3, 5, 8):
-            g = rng.uniform(0.0, 5.0, size=k)
-            neighbours = g + rng.uniform(-1.0, 1.0, size=(60, k))
-            for eps in (0.5, 1.0, 2.0):
-                ratios = gumbel_privacy_ratio(g, neighbours, eps)
-                assert ratios.shape == (60,)
-                pairwise = [gumbel_privacy_ratio(g, row, eps) for row in neighbours]
-                assert np.abs(ratios - pairwise).max() <= 1e-12

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpexperts import engine, harness
+from dpexperts import engine, harness, mechanism
 from dpexperts.core import (
     Bernoulli,
     FiniteSupport,
@@ -473,6 +473,37 @@ class TestEpochSelectionPmf:
             inst = bernoulli_instance(means)
             for length in (1 << 40, 1 << 70):
                 assert epoch_selection_pmf(inst, _spec(1, kind, 1.0), length).tolist() == expected
+
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL,
+                                      NoiseKind.GUMBEL])
+    def test_only_points_near_the_best_take_their_score_row(self, kind, monkeypatch):
+        # From L = 2^8 the Bernoulli(0.9) is pruned and two points are left:
+        # their pmf is that of their score row, with no lattice kernel.
+        def unused(*args):
+            raise AssertionError("lattice kernel called for two points")
+
+        monkeypatch.setattr(engine, "lattice_selection_pmf", unused)
+        inst = make_instance([PointMass(0.1), PointMass(0.1001), Bernoulli(0.9)])
+        spec = _spec(0, kind, 1.0)
+        for length in (1 << r for r in range(8, 16)):
+            pmf = epoch_selection_pmf(inst, spec, length)
+            expected = rnm_pmf_oracle(length * np.array([0.1, 0.1001]), spec)
+            assert pmf[2] == 0.0
+            assert np.abs(pmf[:2] - expected).max() <= 1e-15, length
+
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL,
+                                      NoiseKind.GUMBEL])
+    def test_points_left_by_the_floor_prune_skip_the_fft(self, kind, monkeypatch):
+        # The Bernoulli(0.05)'s window reaches the two points at 0, but its
+        # floor lies over PRUNE_SCALES above them: the kernel returns the
+        # points' tie split before sizing any FFT.
+        def unused(n):
+            raise AssertionError("FFT sized for two points")
+
+        monkeypatch.setattr(mechanism, "_next_fft_size", unused)
+        pmf = epoch_selection_pmf(parse_instance_spec("bern:0,0,0.05"), _spec(0, kind, 1.0),
+                                  4096)
+        assert np.abs(pmf - [0.5, 0.5, 0.0]).max() <= 1e-15
 
     def test_identical_laws_are_grouped_without_cost_in_k(self):
         # 299 actions share one Binomial law: the kernel integrates two laws,

@@ -47,6 +47,11 @@ CASES = {
                                       "laplace", "--eps", "20", "--T", "1023"],
     "exact-bern-gumbel-eps2e4.txt": ["exact", "--instance", "bern:0.2,0.5", "--B", "1",
                                      "--T", "7", "--eps", "2e4", "--noise", "gumbel"],
+    # Two point masses and a Bernoulli(0.05) at B = 0: the floor prune of the
+    # lattice kernel leaves only the two points.
+    **{f"exact-bern-two-points-{noise}.txt": ["exact", "--instance", "bern:0,0,0.05", "--B", "0",
+                                              "--noise", noise, "--eps", "1", "--T", "16383"]
+       for noise in ("laplace", "exponential", "gumbel")},
     # The noiseless tie kernel: 64 distinct laws, two points among 254 laws,
     # and 7 copies of one law.
     **{f"exact-none-{name}.txt": ["exact", "--instance", spec, "--B", "1", "--noise", "none",
@@ -56,7 +61,7 @@ CASES = {
     # Suites whose verdicts and detail lines are exact or closed form.
     **{f"verify-{suite}.txt": ["verify", suite]
        for suite in ("binomial", "softmax-series", "softmax-derivative",
-                     "privacy-laplace", "privacy-exponential")},
+                     "privacy-gumbel", "privacy-laplace", "privacy-exponential")},
 }
 
 

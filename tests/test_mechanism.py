@@ -525,3 +525,14 @@ class TestSelectionPmf:
         assert pmf[5] == pytest.approx(pmf[299], rel=1e-14)
         assert pmf[100] == 0.0
         assert pmf.min() >= 0.0
+
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL])
+    @pytest.mark.parametrize("stack", [[[0.0, 0.0], [100.0, 100.0]], np.zeros((3, 3))])
+    def test_a_stack_is_refused_with_one_error(self, kind, stack):
+        # The kernel takes one vector; a stack used to fail inside it, with an
+        # error that depended on the stack's shape.
+        spec = MechanismSpec(0, kind, epsilon=1.0)
+        with pytest.raises(ValueError, match="rnm_pmf_oracle takes stacks"):
+            selection_pmf(np.array(stack), spec)
+        k = len(stack[0])
+        assert selection_pmf(np.array(stack)[0], spec) == pytest.approx([1.0 / k] * k, abs=1e-13)
