@@ -125,7 +125,10 @@ def sample_scores(instance: Instance, resample: int, length: int, trials: int,
 
 
 # A binomial pmf is cut where its log falls BINOMIAL_LOG_CUT below the mode's.
+# `_binomial_pmfs` builds its laws in blocks of rows whose windows hold at most
+# BINOMIAL_BLOCK_VALUES values (256 KB), so that a block's arrays stay in cache.
 BINOMIAL_LOG_CUT = 70.0
+BINOMIAL_BLOCK_VALUES = 1 << 15
 
 # Lattice columns share one lattice when their steps agree to this relative
 # tolerance and their lowest scores differ by whole steps to within this
@@ -142,38 +145,106 @@ PMF_MAX_VALUES = 1 << 20
 
 
 def _binomial_pmf(n: int, p: float):
-    """(lowest count, pmf) of Binomial(n, p), numpy only.
+    """(lowest count, pmf) of Binomial(n, p): the one-row call of
+    `_binomial_pmfs`."""
+    low, pmfs, sizes = _binomial_pmfs(n, [p])
+    return int(low[0]), pmfs[0, :sizes[0]]
 
-    The log-pmf relative to the mode m = floor((n + 1) p) is a cumsum of the
-    log-ratios log((n - k) p / ((k + 1)(1 - p))) outwards from m, on a window
-    doubled until both ends are below -BINOMIAL_LOG_CUT or at 0 and n. The
-    pmf is cut there and divided by its sum. The cut is safe: the pmf is
-    unimodal and its log is concave, so beyond the cut it falls faster than
-    the Gaussian-like shape that carries unit mass inside, and the dropped
-    mass is of order e^-70 = 4e-31, far below the 1e-13 the selection pmf
-    is integrated to. Anchoring the mode's level with
-    math.lgamma instead of the sum would be off by 4e-11 at n = 2^19 and 2e-8
-    at n = 2^29: lgamma(n + 1) is about 1e7 there, and its rounding is
+
+def _binomial_pmfs(n: int, qs):
+    """(lowest counts, pmfs, sizes) of Binomial(n, q) for each q in qs, numpy
+    only: row i of the zero-padded (laws, window) matrix pmfs holds the
+    sizes[i] probabilities of counts lowest[i], lowest[i] + 1, ... A q of 0
+    or 1 is a point at 0 or n, the row [1, 0, ...] of size 1.
+
+    The log-pmf relative to the mode m = floor((n + 1) q) is a cumsum of the
+    log-ratios log((n - k) q / ((k + 1)(1 - q))) outwards from m, on a
+    window doubled until both ends are below -BINOMIAL_LOG_CUT or at 0 and
+    n. The pmf is cut there and divided by its sum. The cut is safe: the pmf
+    is unimodal and its log is concave, so beyond the cut it falls faster
+    than the Gaussian-like shape that carries unit mass inside, and the
+    dropped mass is of order e^-70 = 4e-31, far below the 1e-13 the
+    selection pmf is integrated to. Anchoring the mode's level with
+    math.lgamma instead of the sum would be off by 4e-11 at n = 2^19 and
+    2e-8 at n = 2^29: lgamma(n + 1) is about 1e7 there, and its rounding is
     absolute.
+
+    The laws are built a block of rows at a time (`_binomial_block`), each
+    block's arrays within BINOMIAL_BLOCK_VALUES values. No row's arithmetic
+    depends on the window or on the other rows, so every row is bitwise its
+    one-row call.
     """
-    if p <= 0.0 or p >= 1.0:
-        return (0 if p <= 0.0 else n), np.ones(1)
-    mode = min(int((n + 1) * p), n)
-    log_odds = math.log(p) - math.log1p(-p)
-    width = int(12.0 * math.sqrt(n * p * (1.0 - p))) + 16
+    # Each block starts from half-windows of 12 standard deviations.
+    widths = [int(12.0 * math.sqrt(n * q * (1.0 - q))) + 16 for q in qs]
+    rows = max(1, BINOMIAL_BLOCK_VALUES // (2 * max(widths) + 1))
+    blocks = [_binomial_block(n, qs[i:i + rows], max(widths[i:i + rows]))
+              for i in range(0, len(qs), rows)]
+    if len(blocks) == 1:
+        return blocks[0]
+    lows = np.concatenate([low for low, _, _ in blocks])
+    sizes = np.concatenate([size for _, _, size in blocks])
+    pmfs = np.zeros((lows.size, sizes.max()))
+    for i, (_, block, _) in zip(range(0, len(qs), rows), blocks):
+        pmfs[i:i + rows, :block.shape[1]] = block
+    return lows, pmfs, sizes
+
+
+def _binomial_block(n: int, qs, width: int):
+    """`_binomial_pmfs` of a few laws, from a half-window of `width` counts
+    each side of every mode m = floor((n + 1) q).
+
+    Rows 2i and 2i + 1 of log_pmf walk down and up from law i's mode: entry
+    t is log P(k) / P(k + 1) at k = m - 1 - t, and log P(k + 1) / P(k) at
+    k = m + t, so their cumsums are the log-pmf at m - 1 - t and m + 1 + t
+    relative to the mode's. With s = k down and s = -k up, each ratio is
+    (a + s) / (b - s): (k + 1) / (n - k) down and (n - k) / (1 + k) up,
+    times the odds q / (1 - q) up and divided by them down. s is clipped at
+    -1 down and -n up, where the ratio is 0, so counts past 0 and n take
+    log-pmf -inf. The log-odds are taken with math.log, as np.log can
+    differ from it by an ulp.
+    """
+    counts = [min(int((n + 1) * q), n) for q in qs]
+    walks = np.array([walk for m, q in zip(counts, qs) for walk in _binomial_walks(n, m, q)])
+    start, a, b, log_odds, floor = walks.T[..., None]
     while True:
-        up = np.arange(mode, min(n, mode + width), dtype=float)
-        down = np.arange(mode - 1, max(-1, mode - 1 - width), -1, dtype=float)
-        log_up = np.cumsum(np.log((n - up) / (up + 1.0)) + log_odds)
-        log_down = np.cumsum(np.log((down + 1.0) / (n - down)) - log_odds)
-        if ((up.size == n - mode or log_up[-1] < -BINOMIAL_LOG_CUT)
-                and (down.size == mode or log_down[-1] < -BINOMIAL_LOG_CUT)):
+        s = np.maximum(start - np.arange(width), floor)
+        with np.errstate(divide="ignore"):
+            log_pmf = np.log((a + s) / (b - s))
+        log_pmf += log_odds
+        log_pmf = log_pmf.cumsum(axis=1)
+        # The counts kept are the first of each walk, as the log-pmf is
+        # concave; a walk is done once its last count is cut.
+        kept = (log_pmf >= -BINOMIAL_LOG_CUT).sum(axis=1).tolist()
+        if max(kept) < width:
             break
         width *= 2
-    log_pmf = np.concatenate([log_down[::-1], [0.0], log_up])
-    kept = np.flatnonzero(log_pmf >= -BINOMIAL_LOG_CUT)
-    pmf = np.exp(log_pmf[kept[0]:kept[-1] + 1])
-    return mode - down.size + int(kept[0]), pmf / pmf.sum()
+    # Row i of `laid` is law i's pmf, unnormalised, from count m - width to
+    # m + width: the down walk reversed, the mode, the up walk. Each row's
+    # kept counts are divided by their sum straight into its row of pmfs.
+    # np.exp runs on the contiguous walks: on strided views its SIMD loop
+    # can round differently.
+    below, above = kept[0::2], kept[1::2]
+    walked = np.exp(log_pmf)
+    laid = np.concatenate([walked[0::2, ::-1], np.ones((len(qs), 1)), walked[1::2]], axis=1)
+    sizes = [down + 1 + up for down, up in zip(below, above)]
+    pmfs = np.zeros((len(qs), max(sizes)))
+    for row, law, down, size in zip(pmfs, laid, below, sizes):
+        kept_law = law[width - down:width - down + size]
+        np.divide(kept_law, kept_law.sum(), out=row[:size])
+    return np.array([m - down for m, down in zip(counts, below)]), pmfs, np.array(sizes)
+
+
+def _binomial_walks(n: int, mode: int, q: float):
+    """Per-row constants (start, a, b, log-odds, floor) of the two walks of
+    `_binomial_block` from `mode`. A point, q = 0 or 1, has every count
+    past 0 or n but its mode: its walk towards the other end takes log-odds
+    -inf, and the clipped walk 0 in place of +inf, so both are -inf."""
+    if q <= 0.0 or q >= 1.0:
+        down, up = (0.0, -math.inf) if q <= 0.0 else (-math.inf, 0.0)
+    else:
+        up = math.log(q) - math.log1p(-q)
+        down = -up
+    return (mode - 1.0, 1.0, n, down, -1.0), (-mode, n, 1.0, up, -n)
 
 
 def _score_laws(instance: Instance, resample: int, length: int):
@@ -198,7 +269,9 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     score is a point, as with point-mass losses and no resampling, the pmf
     is `selection_pmf` of the one score row every trial has. Otherwise
     actions with the same law are grouped, and `lattice_selection_pmf`
-    integrates the selection over the laws.
+    integrates the selection over the laws, passed as one (laws, window)
+    pmf matrix from `_binomial_pmfs`: every random law shares n = length,
+    and a point is a row [1, 0, ...] of size 1 with q = 0.
 
     Actions that surely lose get p = 0 before their pmfs are built: by
     Hoeffding, a count the binomial cut keeps lies within
@@ -246,19 +319,19 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
             or np.any(np.abs(whole - np.round(whole)) > LATTICE_ATOL_STEPS)):
         return None
     # The window runs from 61 noise scales below the best top to 45 above
-    # the lowest score (`_lattice_hazard_pmf`), and each convolution also
-    # spans the widest support.
+    # the lowest score (`_lattice_hazard_pmf`), and each law's sums over it
+    # also span the widest support.
     spread = (centre + radius)[near].max() - (centre - radius)[near].min()
     width = (spread + 110.0 * spec.scale()) / unit + 2.0 * radius[near].max() / unit + 4.0
     split = math.ceil(unit / spec.scale()) if spec.noise is not NoiseKind.NONE else 1
     if copies.size * width * split > PMF_MAX_VALUES:
         return None
-    lows, pmfs = [], []
-    for i in near[first]:
-        low, column = _binomial_pmf(int(n[i]), q[i]) if random[i] else (0, np.ones(1))
-        lows.append(base[i] + step[i] * low)
-        pmfs.append(column)
-    pmf[near] = lattice_selection_pmf(np.array(lows), pmfs, unit, copies, spec)[group.ravel()]
+    # One (laws, window) matrix; a point has q = 0 and step 0, so its row is
+    # [1, 0, ...] and its lowest score its base.
+    laws = near[first]
+    low, pmfs, sizes = _binomial_pmfs(int(n[lattice[0]]), q[laws].tolist())
+    lows = base[laws] + step[laws] * low
+    pmf[near] = lattice_selection_pmf(lows, pmfs, sizes, unit, copies, spec)[group.ravel()]
     return pmf
 
 

@@ -45,6 +45,10 @@ WIDE_PANEL = 3.0
 QUAD_TOL = 1e-13
 GUMBEL_STRIP = 1.4
 
+# `_geometric_suffix` runs its filters in blocks this many noise scales long,
+# so that the factors e^(h i) within a block stay below e^300.
+FILTER_SCALES = 300.0
+
 
 def _tie_mask(scores: np.ndarray, mins) -> np.ndarray:
     return scores <= mins + TIE_RTOL * (1.0 + np.abs(mins))
@@ -204,34 +208,33 @@ def _hazard_pmf(g: np.ndarray, kind: NoiseKind) -> np.ndarray:
     return p
 
 
-def lattice_selection_pmf(lows: np.ndarray, pmfs, step: float, copies: np.ndarray,
-                          spec: MechanismSpec) -> np.ndarray:
+def lattice_selection_pmf(lows: np.ndarray, pmfs: np.ndarray, sizes: np.ndarray, step: float,
+                          copies: np.ndarray, spec: MechanismSpec) -> np.ndarray:
     """Exact selection pmf of report-noisy-max on independent random scores,
     marginal over the scores and the noise.
 
-    Law i is lows[i] + step * k with probability pmfs[i][k], and copies[i]
-    actions have it; the result holds each one's selection probability, so
-    sum(copies * result) is 1. A one-entry pmf is a point and may lie
-    anywhere; the longer pmfs are lattice laws and must share one lattice:
-    step > 0 and lows congruent modulo step. Without noise the tie split is
-    summed over the support (`_lattice_tie_pmf`); with noise
-    p_j = int f_{Y_j} prod_{i != j} F_{Y_i} for Y_i = -S_i + Q_i is
-    integrated on lattice-aligned periods (`_lattice_hazard_pmf`). A step
-    h > 1 noise scales wide is first split into ceil(h) equal steps, with
-    zeros between a lattice pmf's entries, so the kernel integrates steps
-    at most one noise scale wide.
+    Law i is lows[i] + step * k with probability pmfs[i, k] for
+    k < sizes[i]: one zero-padded (laws, window) matrix. copies[i] actions
+    have law i; the result holds each one's selection probability, so
+    sum(copies * result) is 1. A law of size 1, a row [1, 0, ...], is a
+    point and may lie anywhere; the longer laws are lattice laws and must
+    share one lattice: step > 0 and lows congruent modulo step. Without
+    noise the tie split is summed over the support (`_lattice_tie_pmf`);
+    with noise p_j = int f_{Y_j} prod_{i != j} F_{Y_i} for
+    Y_i = -S_i + Q_i is integrated on lattice-aligned periods
+    (`_lattice_hazard_pmf`). A step h > 1 noise scales wide is first split
+    into ceil(h) equal steps, with zeros between a row's entries, so the
+    kernel integrates steps at most one noise scale wide.
     """
     lows = np.asarray(lows, dtype=float)
-    sizes = np.array([pmf.size for pmf in pmfs])
     best = (lows + step * (sizes - 1)).min()
     if spec.noise is NoiseKind.NONE:
         return _lattice_tie_pmf(lows, pmfs, sizes, step, copies, best)
     beta = spec.scale()
     split = math.ceil(step / beta)
     if split > 1:
-        fine = [np.zeros((pmf.size - 1) * split + 1) for pmf in pmfs]
-        for pmf, spread in zip(pmfs, fine):
-            spread[::split] = pmf
+        fine = np.zeros((sizes.size, (pmfs.shape[1] - 1) * split + 1))
+        fine[:, ::split] = pmfs
         pmfs, sizes, step = fine, (sizes - 1) * split + 1, step / split
     # Scores are shift-invariant; shifting by the best top of support keeps
     # the nodes near 0, where a point's F(y + c) loses no digits.
@@ -264,8 +267,9 @@ def _lattice_tie_pmf(lows, pmfs, sizes, step, copies, best) -> np.ndarray:
     for row, (i, v) in enumerate(zip(keep, values)):
         within = v <= top
         tie = np.searchsorted(starts, v[within], side="right") - 1
-        eq[row] = np.bincount(tie, weights=pmfs[i][within], minlength=starts.size)
-        above[row] = pmfs[i][~within].sum()
+        law = pmfs[i, :sizes[i]]
+        eq[row] = np.bincount(tie, weights=law[within], minlength=starts.size)
+        above[row] = law[~within].sum()
     # P(S_i > s): the mass above later tie classes and above the top.
     gt = above + np.cumsum(eq[:, ::-1], axis=1)[:, ::-1] - eq
     many = copies[keep]
@@ -314,9 +318,74 @@ def _midpoint_count(h: float) -> int:
     return max(1, math.ceil(h * math.log1p(bound / QUAD_TOL) / (2.0 * math.pi * GUMBEL_STRIP)))
 
 
+def _geometric_suffix(x: np.ndarray, h: float) -> np.ndarray:
+    """V[:, j] = sum_{k >= j} x[:, k] e^(-h (k - j)) for j = 0..w, with
+    V[:, w] = 0, on rows x >= 0 of width w and h > 0: the filter
+    V[j] = x[j] + e^-h V[j + 1], from cumulative sums of nonnegative terms.
+
+    The rows run in blocks of B = floor(FILTER_SCALES / h) columns. At
+    column i of a block, V = e^(-h (B - 1 - i)) sum_{i <= k < B} x[k]
+    e^(h (B - 1 - k)) plus e^(-h (B - i)) times V at the next block's start,
+    carried from the last block back. The factors lie in [e^-300, e^300],
+    so nothing overflows however long the row, and as each term is scaled
+    up before the sum and the sum down after it, no term underflows before
+    the value it belongs to does.
+    """
+    rows, w = x.shape
+    block = min(w, max(1, int(FILTER_SCALES / h)))
+    blocks = -(-w // block)
+    scale = np.exp(h * np.arange(block - 1, -1, -1))
+    out = np.zeros((rows, blocks * block + 1))
+    out[:, :w] = x
+    local = out[:, :-1].reshape(rows, blocks, block)
+    local *= scale
+    local[:] = local[..., ::-1].cumsum(axis=2)[..., ::-1]
+    local /= scale
+    if blocks > 1:
+        starts = np.zeros((rows, blocks + 1))
+        carry = math.exp(-h * block)
+        for b in range(blocks - 1, -1, -1):
+            starts[:, b] = local[:, b, 0] + carry * starts[:, b + 1]
+        local += starts[:, 1:, None] * (math.exp(-h) / scale)
+    return out[:, :w + 1]
+
+
+def _tail_sums(pmfs: np.ndarray, lowest: np.ndarray, periods: int, h: float, lower: bool):
+    """(laws, periods) arrays T, U and D of `_lattice_hazard_pmf` for rows
+    pmfs of width w whose entry k has lattice index n = lowest + t + k at
+    period t: T = sum_{n >= 0} pmf, U = sum_{n >= 0} pmf e^(-h n) and
+    D = sum_{n < 0} pmf e^(h (n + 1)), or None for D unless `lower`.
+
+    With m = lowest + t and j = clip(-m, 0, w), T = S[j],
+    U = V[j] e^(-h max(m, 0)) and D = Dv[j] e^(-h max(-m - w, 0)), for the
+    suffix sum S[j] = sum_{k >= j} pmf[k] and the geometric filters
+    V[j] = pmf[j] + e^-h V[j + 1] and Dv[j + 1] = e^-h Dv[j] + pmf[j],
+    Dv[0] = 0 (`_geometric_suffix`, on the reversed rows for Dv). Both
+    factors are e^(-h |m + j|): where they differ, V[w] = 0 or Dv[0] = 0.
+    Every term is nonnegative, so each sum is accurate relative to itself.
+    """
+    rows, w = pmfs.shape
+    m = lowest[:, None] + np.arange(periods)
+    j = np.clip(-m, 0, w)
+    decay = np.exp(-h * np.abs(m + j))
+    # Flat indices of row r's column j in a (laws, w + 1) array.
+    j += (w + 1) * np.arange(rows)[:, None]
+    suffix = np.zeros((rows, w + 1))
+    suffix[:, :w] = pmfs[:, ::-1].cumsum(axis=1)[:, ::-1]
+    mass = suffix.take(j)
+    upper = _geometric_suffix(pmfs, h).take(j)
+    upper *= decay
+    if not lower:
+        return mass, upper, None
+    down = _geometric_suffix(pmfs[:, ::-1], h)[:, ::-1].take(j)
+    down *= decay
+    return mass, upper, down
+
+
 def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     """p_j = int f_{Y_j}(y) prod_{i != j} F_{Y_i}(y) dy in noise-scale units:
-    lowest scores g (top of support min 0) and lattice step h <= 1.
+    lowest scores g (top of support min 0), lattice step h <= 1, and law i
+    the first sizes[i] entries of row i of the (laws, window) matrix pmfs.
 
     A lattice law's F_Y(y) = sum_k pmf[k] F(y + g + h k) is the pmf
     correlated with F sampled on a grid of spacing h. The period is anchored
@@ -340,12 +409,17 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     0 < o < h, so n >= 0 exactly where z >= 0. Laplace and Exponential F is
     1 + a e^-z above 0 and b e^z below (`PIECES`), and f = F', so at
     offset o F_Y = T + a e^-o U + b e^(o - h) D and
-    f_Y = -a e^-o U + b e^(o - h) D, from three correlations that do not
-    depend on o: T = sum_{n >= 0} pmf, U = sum_{n >= 0} pmf e^(-h n) and
+    f_Y = -a e^-o U + b e^(o - h) D, from three sums that do not depend on
+    o: T = sum_{n >= 0} pmf, U = sum_{n >= 0} pmf e^(-h n) and
     D = sum_{n < 0} pmf e^(h (n + 1)) (Exponential has b = 0 and skips D).
-    Every factor is at most 1, so nothing overflows at any h. Gumbel's F
-    does not separate, so it takes one FFT convolution of F and one of f
-    per offset.
+    `_tail_sums` takes them from cumulative sums of nonnegative terms, and
+    a < 0 < b, so f_Y is a sum of nonnegative terms too: small entries are
+    accurate relative to themselves, down to the prune. Every factor is at
+    most 1, so nothing overflows at any h. Gumbel's F does not separate, so
+    it takes one FFT convolution of F and one of f per offset. Their error
+    is absolute, about 1e-16 of the largest term: entries of F_Y and f_Y
+    below about 1e-15 are rounding, and f_Y, which the rounding can leave a
+    few ulps below 0, is clamped at 0.
 
     A law's floor t is its lowest support value with more than
     e^-PRUNE_SCALES of mass at or below it. A law with t > PRUNE_SCALES gets
@@ -359,7 +433,7 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     kind = spec.noise
     tail = math.exp(-PRUNE_SCALES)
     tops = g + h * (sizes - 1)
-    floors = g + h * np.array([np.count_nonzero(np.cumsum(pmf) <= tail) for pmf in pmfs])
+    floors = g + h * (pmfs.cumsum(axis=1) <= tail).sum(axis=1)
     p = np.zeros(sizes.size)
     keep = np.flatnonzero(floors <= PRUNE_SCALES)
     lattice = keep[sizes[keep] > 1]
@@ -380,35 +454,33 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     # Law i's kinks y = -(g_i + h k) are anchor - h (shift_i + k).
     shift = np.rint((g[lattice] + anchor) / h).astype(int)
     span = sizes[lattice]
-    base = first + shift.min()
-    count = int(periods + (shift + span).max() - shift.min() - 1)
-    nfft = _next_fft_size(count)
-    starts = shift - shift.min() + span - 1
-    gather = (np.arange(lattice.size)[:, None], starts[:, None] + np.arange(periods))
-    reversed_pmfs = np.zeros((lattice.size, nfft))
-    for row, i in enumerate(lattice):
-        reversed_pmfs[row, :span[row]] = pmfs[i][::-1]
-    fft = np.fft
-    kernels = fft.rfft(reversed_pmfs)
-
-    def correlate(sequence):
-        """(laws, periods): each law's pmf correlated with a grid sequence."""
-        return fft.irfft(kernels * fft.rfft(sequence, nfft), nfft)[gather]
-
-    n = base + np.arange(count)
-    if kind is not NoiseKind.GUMBEL:
-        # mass, upper and lower are the docstring's T, U and D.
-        (_, b), (_, a) = PIECES[kind]
-        ahead = n >= 0
-        mass = correlate(ahead.astype(float))
-        upper = correlate(np.where(ahead, np.exp(-h * np.maximum(n, 0)), 0.0))
-        if b:
-            lower = correlate(np.where(ahead, 0.0, np.exp(h * np.minimum(n + 1, 0))))
+    width = span.max()
     if kind is NoiseKind.GUMBEL:
+        base = first + shift.min()
+        count = int(periods + (shift + span).max() - shift.min() - 1)
+        nfft = _next_fft_size(count)
+        starts = shift - shift.min() + span - 1
+        gather = (np.arange(lattice.size)[:, None], starts[:, None] + np.arange(periods))
+        # Each row reversed within its own size: the negative columns wrap
+        # round to the zeros past the row's end.
+        reversed_pmfs = np.zeros((lattice.size, nfft))
+        reversed_pmfs[:, :width] = pmfs[lattice[:, None], span[:, None] - 1 - np.arange(width)]
+        fft = np.fft
+        kernels = fft.rfft(reversed_pmfs)
+
+        def correlate(sequence):
+            """(laws, periods): each law's pmf correlated with a grid sequence."""
+            return fft.irfft(kernels * fft.rfft(sequence, nfft), nfft)[gather]
+
+        n = base + np.arange(count)
         m = _midpoint_count(h)
         offsets = h * (np.arange(m) + 0.5) / m
         weights = np.full(m, h / m)
     else:
+        # mass, upper and lower are the docstring's T, U and D.
+        (_, b), (_, a) = PIECES[kind]
+        mass, upper, lower = _tail_sums(pmfs[lattice, :width], first + shift, periods, h,
+                                        lower=bool(b))
         offsets, weights = _panel_nodes(np.union1d([0.0, h], np.mod(-g[points] - anchor, h)))
     y_period = anchor + h * (first + np.arange(periods))
     laws = np.concatenate([lattice, points])
@@ -419,6 +491,10 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
             z = offset + h * n
             cdf[:lattice.size] = correlate(noise_cdf(kind, z, 1.0))
             pdf[:lattice.size] = correlate(noise_pdf(kind, z, 1.0))
+            # FFT rounding can leave F and f a few ulps below 0. Where W
+            # underflows, every f_j prod_{i != j} F_i = (f_j / F_j) W is
+            # negligible: nodes stay off the kinks, so f / F is bounded.
+            np.maximum(pdf[:lattice.size], 0.0, out=pdf[:lattice.size])
         else:
             up = upper * (a * math.exp(-offset))
             np.add(mass, up, out=cdf[:lattice.size])
@@ -431,10 +507,6 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
             z = y_period + offset + g[points][:, None]
             cdf[lattice.size:] = noise_cdf(kind, z, 1.0)
             pdf[lattice.size:] = noise_pdf(kind, z, 1.0)
-        # FFT rounding can leave F and f a few ulps below 0. Where W
-        # underflows, every f_j prod_{i != j} F_i = (f_j / F_j) W is
-        # negligible: nodes stay off the kinks, so f / F is bounded.
-        np.maximum(pdf, 0.0, out=pdf)
         _add_exclusive_products(p, laws, weight, pdf, cdf, copies[laws])
     return p
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -465,10 +466,10 @@ class TestEpochSelectionPmf:
         # but the loser is pruned, so no binomial pmf is needed; 2^70
         # overflows an int64 law column. Tied survivors share one law, so
         # they are uniform by exchangeability, with no pmf either.
-        def unused(n, p):
+        def unused(n, qs):
             raise AssertionError("binomial pmf built for exchangeable actions")
 
-        monkeypatch.setattr(engine, "_binomial_pmf", unused)
+        monkeypatch.setattr(engine, "_binomial_pmfs", unused)
         for means, expected in (([0.2, 0.5], [1.0, 0.0]), ([0.3, 0.9, 0.3], [0.5, 0.0, 0.5])):
             inst = bernoulli_instance(means)
             for length in (1 << 40, 1 << 70):
@@ -496,14 +497,38 @@ class TestEpochSelectionPmf:
     def test_points_left_by_the_floor_prune_skip_the_fft(self, kind, monkeypatch):
         # The Bernoulli(0.05)'s window reaches the two points at 0, but its
         # floor lies over PRUNE_SCALES above them: the kernel returns the
-        # points' tie split before sizing any FFT.
-        def unused(n):
-            raise AssertionError("FFT sized for two points")
+        # points' tie split before sizing any FFT (Gumbel) or taking any
+        # tail sum (Laplace and Exponential).
+        def unused(*args, **kwargs):
+            raise AssertionError("lattice work done for two points")
 
         monkeypatch.setattr(mechanism, "_next_fft_size", unused)
+        monkeypatch.setattr(mechanism, "_tail_sums", unused)
         pmf = epoch_selection_pmf(parse_instance_spec("bern:0,0,0.05"), _spec(0, kind, 1.0),
                                   4096)
         assert np.abs(pmf - [0.5, 0.5, 0.0]).max() <= 1e-15
+
+    # Two-action entries far below 1e-13 (cases with small true p), B=1,
+    # Laplace, one epoch of length L: the second action's p against a
+    # brute-force mpmath sum over both binomials of the two-Laplace tail
+    # P(Q_2 - Q_1 > x) = e^(-x/b) (2 + x/b) / 4 at x >= 0, b = 2/eps.
+    @pytest.mark.parametrize("means,length,eps", [((0.1, 0.9), 16, 4.0), ((0.1, 0.9), 32, 4.0),
+                                                  ((0.2, 0.8), 64, 2.0), ((0.1, 0.9), 64, 2.0)])
+    def test_small_entries_are_accurate_relative_to_themselves(self, means, length, eps):
+        with mp.workdps(40):
+            b = mp.mpf(2) / eps
+
+            def tail(x):
+                side = mp.exp(-abs(x) / b) * (2 + abs(x) / b) / 4
+                return side if x >= 0 else 1 - side
+
+            laws = [[mp.binomial(length, s) * mp.mpf(q) ** s * (1 - mp.mpf(q)) ** (length - s)
+                     for s in range(length + 1)] for q in means]
+            expected = mp.fsum(laws[0][s] * laws[1][t] * tail(t - s)
+                               for s in range(length + 1) for t in range(length + 1))
+        got = epoch_selection_pmf(bernoulli_instance(list(means)),
+                                  MechanismSpec(1, NoiseKind.LAPLACE, epsilon=eps), length)[1]
+        assert abs(got / float(expected) - 1.0) <= 1e-12
 
     def test_identical_laws_are_grouped_without_cost_in_k(self):
         # 299 actions share one Binomial law: the kernel integrates two laws,
@@ -513,6 +538,29 @@ class TestEpochSelectionPmf:
                                   1 << 12)
         assert np.all(pmf[1:] == pmf[1]) and pmf.sum() == pytest.approx(1.0, abs=1e-12)
         assert pmf[0] > pmf[1]
+
+
+def _scalar_binomial_pmf(n: int, p: float):
+    """The one-law builder `engine._binomial_pmfs` replaced, kept as its
+    reference: (lowest count, pmf) of Binomial(n, p) for 0 < p < 1, from
+    log-ratio cumsums outwards from the mode on a window doubled until both
+    ends are cut or at 0 and n."""
+    mode = min(int((n + 1) * p), n)
+    log_odds = math.log(p) - math.log1p(-p)
+    width = int(12.0 * math.sqrt(n * p * (1.0 - p))) + 16
+    while True:
+        up = np.arange(mode, min(n, mode + width), dtype=float)
+        down = np.arange(mode - 1, max(-1, mode - 1 - width), -1, dtype=float)
+        log_up = np.cumsum(np.log((n - up) / (up + 1.0)) + log_odds)
+        log_down = np.cumsum(np.log((down + 1.0) / (n - down)) - log_odds)
+        if ((up.size == n - mode or log_up[-1] < -70.0)
+                and (down.size == mode or log_down[-1] < -70.0)):
+            break
+        width *= 2
+    log_pmf = np.concatenate([log_down[::-1], [0.0], log_up])
+    kept = np.flatnonzero(log_pmf >= -70.0)
+    pmf = np.exp(log_pmf[kept[0]:kept[-1] + 1])
+    return mode - down.size + int(kept[0]), pmf / pmf.sum()
 
 
 class TestBinomialPmf:
@@ -548,7 +596,37 @@ class TestBinomialPmf:
                 assert stats.binom.logpmf(outside, n, p) - peak < -70.0 + 1e-6
         assert abs(pmf.sum() - 1.0) <= 1e-15
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 1 << 32),
+           laws=st.lists(st.tuples(st.floats(math.log(1e-12), math.log(0.5)), st.booleans()),
+                         min_size=2, max_size=5))
+    def test_batched_rows_are_their_one_row_calls(self, n, laws):
+        # Several laws in one call, with p out to 1e-12 from 0 and from 1:
+        # every row is bitwise its one-row call, whatever window or block
+        # the others share, and the scalar builder's output, and keeps the
+        # cut at both ends.
+        qs = [-math.expm1(log_p) if upper else math.exp(log_p) for log_p, upper in laws]
+        lows, pmfs, sizes = engine._binomial_pmfs(n, qs)
+        assert pmfs.shape == (len(qs), sizes.max())
+        for q, low, row, size in zip(qs, lows, pmfs, sizes):
+            one_low, one = engine._binomial_pmf(n, q)
+            assert low == one_low and size == one.size
+            assert np.array_equal(row[:size], one) and not row[size:].any()
+            scalar_low, scalar = _scalar_binomial_pmf(n, q)
+            assert low == scalar_low and np.array_equal(row[:size], scalar)
+            peak = stats.binom.logpmf(min(int((n + 1) * q), n), n, q)
+            for end in (low, low + size - 1):
+                assert stats.binom.logpmf(end, n, q) - peak >= -70.0 - 1e-6
+            for outside in (low - 1, low + size):
+                if 0 <= outside <= n:
+                    assert stats.binom.logpmf(outside, n, q) - peak < -70.0 + 1e-6
+
     def test_degenerate_means_are_points(self):
         assert engine._binomial_pmf(9, 0.0)[0] == 0
         assert engine._binomial_pmf(9, 1.0)[0] == 9
         assert engine._binomial_pmf(9, 1.0)[1].tolist() == [1.0]
+        # Among random laws a point is the row [1, 0, ...] of size 1.
+        lows, pmfs, sizes = engine._binomial_pmfs(9, [0.0, 0.3, 1.0])
+        assert lows[[0, 2]].tolist() == [0, 9] and sizes[[0, 2]].tolist() == [1, 1]
+        assert pmfs[[0, 2]].tolist() == [[1.0] + [0.0] * (pmfs.shape[1] - 1)] * 2
+        assert np.array_equal(pmfs[1, :sizes[1]], engine._binomial_pmf(9, 0.3)[1])

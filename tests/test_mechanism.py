@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 from dpexperts import mechanism
 from dpexperts.core import MechanismSpec, NoiseKind, OutOfRange
@@ -475,6 +476,42 @@ def midpoint_pmf(g, kind: NoiseKind, lo: float, h: float, top: float = 30.0):
     pmf = np.zeros(g.size)
     pmf[keep] = (4.0 * rule(h / 2.0) - rule(h)) / 3.0
     return pmf
+
+
+class TestTailSums:
+    """`_tail_sums` against exponential tilting: for X ~ Binomial(n, q),
+    E[e^(-h X); X >= j] = c^n P[Binomial(n, q') >= j] with c = 1 - q + q e^-h
+    and q' = q e^-h / c, and the same with e^(h X) below j."""
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 333, 1000])
+    @pytest.mark.parametrize("h", [1.0, 0.7, 0.3, 0.05])
+    def test_matches_exponential_tilting(self, n, h):
+        # h = 1 and 0.7 run the filters in several blocks at n >= 333.
+        qs = [0.03, 0.3, 0.5, 0.85]
+        pmfs = stats.binom.pmf(np.arange(n + 1), n, np.array(qs)[:, None])
+        # Lattice index m + k for entry k at period t: m = -(n + 3) + t, so
+        # the periods run from all entries below 0 to all of them above it.
+        periods = n + 7
+        m = -(n + 3) + np.arange(periods)
+        mass, upper, lower = mechanism._tail_sums(pmfs, np.full(len(qs), -(n + 3)), periods, h,
+                                                  lower=True)
+        for i, q in enumerate(qs):
+            below, above = 1.0 - q + q * math.exp(h), 1.0 - q + q * math.exp(-h)
+            tails = (stats.binom.sf(-m - 1, n, q),
+                     stats.binom.sf(np.maximum(-m, 0) - 1, n, q * math.exp(-h) / above),
+                     stats.binom.cdf(-m - 1, n, q * math.exp(h) / below))
+            with np.errstate(divide="ignore"):
+                logs = (np.log(tails[0]), -h * m + n * math.log(above) + np.log(tails[1]),
+                        h * (m + 1) + n * math.log(below) + np.log(tails[2]))
+            # Compared where scipy's tail probability and the sum are over
+            # 1e-250: scipy's pmf and tails are off by a few 1e-13 in these
+            # far tails, and by up to 1e-12 below that.
+            # The sums are exactly 0 where no entry is on their side.
+            for got, tail, log, zero in zip((mass[i], upper[i], lower[i]), tails, logs,
+                                            (-m > n, -m > n, m >= 0)):
+                assert np.all(got[zero] == 0.0)
+                sized = ~zero & (tail > 1e-250) & (log > math.log(1e-250))
+                assert np.abs(got[sized] / np.exp(log[sized]) - 1.0).max() <= 1e-12
 
 
 class TestSelectionPmf:
