@@ -12,6 +12,7 @@ from .core import (
     PointMass,
     RegretEstimate,
     RunRecord,
+    TwoPointLoss,
     make_instance,
 )
 from .engine import run_rnm_ftnl
@@ -28,6 +29,7 @@ __all__ = [
     "RegretEstimate",
     "RngStream",
     "RunRecord",
+    "TwoPointLoss",
     "derive_seed",
     "estimate_pseudoregret",
     "make_instance",

@@ -1,7 +1,8 @@
 """Command-line front end: run sweeps to CSV, print exact regret tables, run
 verification suites, and plot regret curves to SVG.
 
-Exit codes: 0 success, 1 failed verification, 2 argument/parse error, 3 runtime error.
+Exit codes: 0 success, 1 failed verification, 2 argument/parse error or an
+unwritable --out path, 3 runtime error.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import List, Optional
 from .analysis import exact_regret_epochs
 from .core import MechanismSpec, NoiseKind, OutOfRange
 from .engine import InvalidHorizon, epoch_lengths
-from .harness import cells_to_csv, sweep, write_csv
+from .harness import cells_to_csv, sweep
 from .instances import InstanceSpecError, parse_instance_spec
 from .svg import line_chart
 from .verify import SUITES, run_suites
@@ -46,6 +47,14 @@ def _ints(text: str, option: str) -> List[int]:
         return [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"{option}: bad integer list {text!r}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _horizon(t: int) -> int:
@@ -84,7 +93,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OutOfRange as exc:
         raise _UsageError(str(exc)) from exc
     if args.out:
-        write_csv(cells, args.out)
+        _write(args.out, cells_to_csv(cells))
     else:
         sys.stdout.write(cells_to_csv(cells))
     return EXIT_OK
@@ -150,9 +159,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
                 (float(row[axis_col]), float(row["regret_mean"])))
     except (KeyError, ValueError) as exc:
         raise _UsageError(f"malformed CSV {args.csv}: {exc}") from exc
-    doc = line_chart(series, x_label=args.x)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(doc)
+    _write(args.out, line_chart(series, x_label=args.x))
     return EXIT_OK
 
 

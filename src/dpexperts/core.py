@@ -1,4 +1,4 @@
-"""Shared domain types: loss models, problem instances, mechanism configs, run records."""
+"""Shared domain types: loss laws, problem instances, mechanism configs, run records."""
 from __future__ import annotations
 
 import math
@@ -13,7 +13,7 @@ PROB_TOL = 1e-12
 
 
 class InvalidSupport(ValueError):
-    """A loss value lies outside [0, 1]."""
+    """A loss value lies outside [0, 1], or a loss takes three or more values."""
 
 
 class InvalidProbabilities(ValueError):
@@ -30,86 +30,59 @@ def _check_unit_interval(value: float, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class PointMass:
+class TwoPointLoss:
+    """Loss b + (a - b) Bernoulli(q): a with probability q, else b, with
+    0 <= b <= a <= 1. A point mass is (v, v, 0) and a Bernoulli loss (0, 1, p)."""
+
+    b: float
+    a: float
+    q: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.b <= self.a <= 1.0:
+            raise InvalidSupport(f"loss values need 0 <= b <= a <= 1, got b={self.b!r}, "
+                                 f"a={self.a!r}")
+        if not 0.0 <= self.q <= 1.0:
+            raise InvalidProbabilities(f"P[loss = a] must lie in [0, 1], got {self.q!r}")
+
+    def mean(self) -> float:
+        return self.b + (self.a - self.b) * self.q
+
+
+def PointMass(value: float) -> TwoPointLoss:
     """Loss that is always equal to `value`."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        _check_unit_interval(self.value, "point mass value")
-
-    def mean(self) -> float:
-        return self.value
-
-    def two_point(self) -> tuple:
-        return (self.value, self.value, 0.0)
-
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF map of uniforms in [0, 1) to losses (degenerate: constant)."""
-        return np.full_like(np.asarray(u, dtype=float), self.value)
+    _check_unit_interval(value, "point mass value")
+    return TwoPointLoss(value, value, 0.0)
 
 
-@dataclass(frozen=True)
-class Bernoulli:
+def Bernoulli(p: float) -> TwoPointLoss:
     """Loss in {0, 1} with P[loss = 1] = p."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        _check_unit_interval(self.p, "Bernoulli mean")
-
-    def mean(self) -> float:
-        return self.p
-
-    def two_point(self) -> tuple:
-        return (0.0, 1.0, self.p)
-
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        # Convention: u < p maps to loss 1 so that the loss mean equals p.
-        return (np.asarray(u, dtype=float) < self.p).astype(float)
+    _check_unit_interval(p, "Bernoulli mean")
+    return TwoPointLoss(0.0, 1.0, p)
 
 
-@dataclass(frozen=True)
-class FiniteSupport:
-    """Loss taking finitely many values; atoms is a tuple of (value, prob)."""
-
-    atoms: tuple
-
-    def __post_init__(self) -> None:
-        atoms = tuple((float(v), float(p)) for v, p in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        if not atoms:
-            raise InvalidProbabilities("finite-support model needs at least one atom")
-        for v, p in atoms:
-            _check_unit_interval(v, "finite-support value")
-            if not (math.isfinite(p) and p >= 0.0):
-                raise InvalidProbabilities(f"atom probability {p!r} is negative or not finite")
-        total = math.fsum(p for _, p in atoms)
-        if abs(total - 1.0) > PROB_TOL:
-            raise InvalidProbabilities(f"atom probabilities sum to {total!r}, expected 1")
-
-    def mean(self) -> float:
-        return math.fsum(v * p for v, p in self.atoms)
-
-    def two_point(self) -> tuple:
-        """(b, a, q) with a >= b: the loss is b + (a - b) Bernoulli(q) over the
-        atoms of positive probability; NaNs for three or more of them."""
-        values = sorted({v for v, p in self.atoms if p > 0.0})
-        if len(values) > 2:
-            return (math.nan,) * 3
-        if len(values) == 1:
-            return (values[0], values[0], 0.0)
-        b, a = values
-        total = math.fsum(p for _, p in self.atoms)
-        return (b, a, math.fsum(p for v, p in self.atoms if v == a) / total)
-
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF over [0, 1) partitioned by atom probabilities in listed order."""
-        u = np.asarray(u, dtype=float)
-        values = np.array([v for v, _ in self.atoms])
-        cum = np.cumsum([p for _, p in self.atoms])
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(values) - 1)
-        return values[idx]
+def FiniteSupport(atoms) -> TwoPointLoss:
+    """Loss taking finitely many values; atoms is a tuple of (value, prob)
+    whose probabilities sum to 1, with at most two values of positive
+    probability: b < a, and q = P(a) / total."""
+    atoms = tuple((float(v), float(p)) for v, p in atoms)
+    if not atoms:
+        raise InvalidProbabilities("finite-support model needs at least one atom")
+    for v, p in atoms:
+        _check_unit_interval(v, "finite-support value")
+        if not (math.isfinite(p) and p >= 0.0):
+            raise InvalidProbabilities(f"atom probability {p!r} is negative or not finite")
+    total = math.fsum(p for _, p in atoms)
+    if abs(total - 1.0) > PROB_TOL:
+        raise InvalidProbabilities(f"atom probabilities sum to {total!r}, expected 1")
+    values = sorted({v for v, p in atoms if p > 0.0})
+    if len(values) > 2:
+        raise InvalidSupport(f"a loss takes at most two values, got {len(values)} of "
+                             f"positive probability")
+    if len(values) == 1:
+        return PointMass(values[0])
+    b, a = values
+    return TwoPointLoss(b, a, math.fsum(p for v, p in atoms if v == a) / total)
 
 
 @dataclass(frozen=True)
@@ -118,8 +91,8 @@ class Instance:
 
     Actions keep their given order; gaps are taken against the minimum mean, and
     delta_min is the smallest strictly positive gap (None when all means tie).
-    Row j of laws is models[j].two_point(), (b, a, q): the loss is
-    b + (a - b) Bernoulli(q), NaN for a support of three or more atoms.
+    Row j of laws is (b, a, q) of models[j], a `TwoPointLoss`: action j's
+    loss is b + (a - b) Bernoulli(q).
     Immutable after construction; safe to share across concurrent trials.
     """
 
@@ -135,7 +108,7 @@ class Instance:
 
 
 def make_instance(models) -> Instance:
-    """Build an Instance from a nonempty list of loss models."""
+    """Build an Instance from a nonempty list of `TwoPointLoss` laws."""
     models = tuple(models)
     if not models:
         raise OutOfRange("an instance needs at least one action")
@@ -143,7 +116,7 @@ def make_instance(models) -> Instance:
     gaps = means - means.min()
     positive = gaps[gaps > 0.0]
     delta_min = float(positive.min()) if positive.size else None
-    laws = np.array([m.two_point() for m in models], dtype=float)
+    laws = np.array([(m.b, m.a, m.q) for m in models], dtype=float)
     return Instance(models=models, means=means, gaps=gaps, delta_min=delta_min, laws=laws)
 
 

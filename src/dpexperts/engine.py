@@ -6,16 +6,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    Bernoulli,
-    FiniteSupport,
-    Instance,
-    MechanismSpec,
-    NoiseKind,
-    OutOfRange,
-    PointMass,
-    RunRecord,
-)
+from .core import Instance, MechanismSpec, NoiseKind, OutOfRange, RunRecord
 from .mechanism import (
     PRUNE_SCALES,
     TIE_RTOL,
@@ -51,18 +42,11 @@ def epoch_lengths(horizon: int) -> List[int]:
 
 
 def _sample_epoch_losses(instance: Instance, length: int, rng: RngStream) -> np.ndarray:
-    """(length, K) loss matrix; one uniform per coordinate through each model's
-    inverse CDF: point-mass columns in one assignment, Bernoulli columns in one
-    u < p comparison, finite supports through `model.sample`."""
+    """(length, K) loss matrix; one uniform u per coordinate, and the loss
+    law (b, a, q) of `Instance.laws` maps u < q to a and the rest to b."""
     u = rng.uniform((length, instance.k))
-    losses = np.empty_like(u)
-    point = np.array([isinstance(m, PointMass) for m in instance.models])
-    coin = np.array([isinstance(m, Bernoulli) for m in instance.models])
-    losses[:, point] = instance.means[point]
-    losses[:, coin] = u[:, coin] < instance.means[coin]
-    for j in np.flatnonzero(~(point | coin)):
-        losses[:, j] = instance.models[j].sample(u[:, j])
-    return losses
+    b, a, q = instance.laws.T
+    return np.where(u < q, a, b)
 
 
 def run_rnm_ftnl(instance: Instance, spec: MechanismSpec, horizon: int,
@@ -95,32 +79,26 @@ def sample_scores(instance: Instance, resample: int, length: int, trials: int,
                   rng: RngStream) -> np.ndarray:
     """(trials, K) accumulated-score samples for one epoch of the given length.
 
-    Distributionally exact shortcut for Monte Carlo at scale: with resampling
-    the accumulated bits are Binomial(length, mu_j) regardless of the loss
-    model (a Bernoulli bit with a random mean in [0, 1] is marginally Bernoulli
-    of the expected mean, independently across steps); without resampling,
-    point masses accumulate deterministically, Bernoulli losses are binomial,
-    and finite-support losses reduce to multinomial atom counts.
+    Distributionally exact shortcut for Monte Carlo at scale: each score is
+    base + step * Binomial(length, q) (`_score_laws`). With resampling the
+    accumulated bits are Binomial(length, mu_j) regardless of the loss law
+    (a Bernoulli bit with a random mean in [0, 1] is marginally Bernoulli of
+    the expected mean, independently across steps); without resampling, the
+    loss b + (a - b) Bernoulli(q) sums to length b + (a - b) Binomial(length, q).
 
-    Point-mass columns consume no randomness; the random columns draw in
-    column order.
+    Every column with a step draws its binomial, in column order, even at
+    q = 0 or 1, where numpy still consumes the stream; point masses without
+    resampling consume no randomness. A draw of 2^63 steps or more, whose
+    counts overflow numpy's int64, raises OutOfRange.
     """
-    point = np.array([not resample and isinstance(m, PointMass) for m in instance.models])
+    base, step, _, q = _score_laws(instance, resample, length)
+    draws = np.flatnonzero(step)
+    if draws.size and length >= 1 << 63:
+        raise OutOfRange(f"{length} steps overflow the sampler's int64 counts")
     gen = rng.generator
-    scores = np.empty((trials, instance.k))
-    scores[:, point] = length * instance.means[point]
-    for j, model in enumerate(instance.models):
-        if point[j]:
-            continue
-        if resample or isinstance(model, Bernoulli):
-            scores[:, j] = gen.binomial(length, model.mean(), size=trials)
-        elif isinstance(model, FiniteSupport):
-            values = np.array([v for v, _ in model.atoms])
-            probs = np.array([p for _, p in model.atoms])
-            counts = gen.multinomial(length, probs / probs.sum(), size=trials)
-            scores[:, j] = counts @ values
-        else:
-            raise TypeError(f"unknown loss model {model!r}")
+    scores = np.tile(base, (trials, 1))
+    for j in draws:
+        scores[:, j] += step[j] * gen.binomial(length, float(q[j]), size=trials)
     return scores
 
 
@@ -282,16 +260,14 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     the same law, the pmf is uniform over them by exchangeability (one-hot
     when one is left), whatever their window.
 
-    Returns None where the random scores share no single lattice (a finite
-    support with three or more atoms, or lattice steps or offsets that
-    differ), and where the laws times the integration window, in lattice
-    steps refined to at most one noise scale (ceil(h) per step h noise
-    scales wide), would exceed PMF_MAX_VALUES: supports many steps wide that
-    overlap, noise many steps wide, or steps many noise scales wide.
+    Returns None where the random scores share no single lattice (lattice
+    steps or offsets that differ, which only the Python API builds), and
+    where the laws times the integration window, in lattice steps refined to
+    at most one noise scale (ceil(h) per step h noise scales wide), would
+    exceed PMF_MAX_VALUES: supports many steps wide that overlap, noise many
+    steps wide, or steps many noise scales wide.
     """
     base, step, n, q = _score_laws(instance, spec.resample, length)
-    if np.isnan(q).any():
-        return None
     random = (q > 0.0) & (q < 1.0)
     base += step * np.where(random, 0.0, np.round(q) * n)
     if not random.any():
@@ -377,10 +353,10 @@ def run_batch(instance: Instance, spec: MechanismSpec, horizon: int, trials: int
         if r < len(lengths):
             pmf = pmfs[r - 1]
             if pmf is None:
-                if length >= 1 << 63:
-                    raise OutOfRange(f"epoch {r} has no exact selection pmf, and its {length} "
-                                     "steps overflow the sampler's int64 counts")
-                scores = sample_scores(instance, spec.resample, length, trials, rng)
+                try:
+                    scores = sample_scores(instance, spec.resample, length, trials, rng)
+                except OutOfRange as exc:
+                    raise OutOfRange(f"epoch {r} has no exact selection pmf, and its {exc}") from exc
                 actions = select_batch(scores, spec, rng)
             else:
                 actions = sample_pmf(pmf, trials, rng)

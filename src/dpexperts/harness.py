@@ -46,7 +46,9 @@ def estimate_pseudoregret(instance: Instance, spec: MechanismSpec, horizon: int,
 
 def selection_frequency(instance: Instance, spec: MechanismSpec, r: int,
                         trials: int, base_seed: int) -> np.ndarray:
-    """Empirical pmf of the selection made at the end of epoch r."""
+    """Empirical pmf of the selection made at the end of epoch r; its
+    2^(r - 1) steps are sampled by `sample_scores`, which raises OutOfRange
+    where a count would overflow an int64 (r >= 64)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if r < 1:
@@ -96,8 +98,3 @@ def cells_to_csv(cells: Sequence[SweepCell]) -> str:
             repr(c.estimate.mean), repr(c.estimate.stderr), c.seed,
         ])
     return buf.getvalue()
-
-
-def write_csv(cells: Sequence[SweepCell], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(cells_to_csv(cells))

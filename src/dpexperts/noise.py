@@ -63,7 +63,7 @@ class RngStream:
 
     @property
     def generator(self) -> np.random.Generator:
-        """Underlying generator, for bulk discrete sampling (binomial, multinomial)."""
+        """Underlying generator, for bulk discrete sampling (binomial counts)."""
         return self._gen
 
     def index(self, k: int) -> int:

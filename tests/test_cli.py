@@ -5,7 +5,7 @@ import re
 import pytest
 
 from dpexperts import verify
-from dpexperts.cli import EXIT_FAIL, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from dpexperts.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from dpexperts.harness import CSV_HEADER
 
 
@@ -29,6 +29,12 @@ class TestRun:
                      "--T", "3", "--trials", "20"]) == EXIT_OK
         captured = capsys.readouterr().out
         assert captured.startswith(CSV_HEADER)
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "missing" / "x"
+        assert main(["run", "--instance", "det:0,1", "--T", "7", "--trials", "5",
+                     "--out", str(bad)]) == EXIT_USAGE
+        assert f"cannot write {bad}: " in capsys.readouterr().err
 
     def test_same_seed_same_csv(self, tmp_path):
         args = ["run", "--instance", "det:0,0.5", "--T", "15",
@@ -249,8 +255,9 @@ class TestPlot:
         assert main(["plot", str(csv_path), "--x", "zeta",
                      "--out", str(tmp_path / "o.svg")]) == EXIT_USAGE
 
-    def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"
         self._write_sweep(csv_path)
-        bad = tmp_path / "no" / "such" / "dir" / "o.svg"
-        assert main(["plot", str(csv_path), "--out", str(bad)]) == EXIT_RUNTIME
+        bad = tmp_path / "missing" / "x"
+        assert main(["plot", str(csv_path), "--out", str(bad)]) == EXIT_USAGE
+        assert f"cannot write {bad}: " in capsys.readouterr().err

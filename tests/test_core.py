@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import dpexperts
 from dpexperts.core import (
+    PROB_TOL,
     Bernoulli,
     FiniteSupport,
     InvalidProbabilities,
@@ -20,18 +21,47 @@ from dpexperts.core import (
     PointMass,
     RegretEstimate,
     RunRecord,
+    TwoPointLoss,
     make_instance,
 )
+from dpexperts.engine import _sample_epoch_losses
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+class _FixedUniforms:
+    """Stands in for an RngStream whose next uniforms are `u`."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def uniform(self, shape):
+        return self.u.reshape(shape)
+
+
+def _losses(model, u):
+    """The per-step engine's losses of one action for the uniforms u."""
+    return _sample_epoch_losses(make_instance([model]), len(u), _FixedUniforms(u))[:, 0]
 
 
 class TestLossModels:
     def test_point_mass_mean_and_sample(self):
         m = PointMass(0.3)
+        assert m == TwoPointLoss(0.3, 0.3, 0.0)
         assert m.mean() == 0.3
-        u = np.array([0.0, 0.5, 0.999])
-        assert np.all(m.sample(u) == 0.3)
+        assert np.all(_losses(m, [0.0, 0.5, 0.999]) == 0.3)
+
+    def test_two_point_loss_validates_itself(self):
+        assert TwoPointLoss(0.25, 0.75, 0.5).mean() == 0.5
+        with pytest.raises(InvalidSupport):
+            TwoPointLoss(0.6, 0.2, 0.5)
+        with pytest.raises(InvalidSupport):
+            TwoPointLoss(-0.1, 0.2, 0.5)
+        with pytest.raises(InvalidSupport):
+            TwoPointLoss(0.2, 1.5, 0.5)
+        for q in (-0.1, 1.5, math.nan):
+            with pytest.raises(InvalidProbabilities):
+                TwoPointLoss(0.2, 0.6, q)
 
     def test_point_mass_rejects_out_of_range(self):
         with pytest.raises(InvalidSupport):
@@ -41,14 +71,12 @@ class TestLossModels:
 
     @given(unit)
     def test_bernoulli_sample_mean_matches_p(self, p):
-        m = Bernoulli(p)
         # Inverse CDF on an equispaced grid reproduces the mean to grid accuracy.
         u = (np.arange(10_000) + 0.5) / 10_000
-        assert abs(m.sample(u).mean() - p) < 1e-4
+        assert abs(_losses(Bernoulli(p), u).mean() - p) < 1e-4
 
     def test_bernoulli_convention_u_below_p_is_loss_one(self):
-        m = Bernoulli(0.25)
-        out = m.sample(np.array([0.0, 0.24, 0.25, 0.9]))
+        out = _losses(Bernoulli(0.25), [0.0, 0.24, 0.25, 0.9])
         assert out.tolist() == [1.0, 1.0, 0.0, 0.0]
 
     def test_finite_support_validation(self):
@@ -77,16 +105,22 @@ class TestLossModels:
             vq = Fraction(v).limit_denominator(10**6)
             atoms.append((float(vq), float(q)))
             exact += vq * q
-        try:
-            model = FiniteSupport(tuple(atoms))
-        except InvalidProbabilities:
+        if abs(math.fsum(q for _, q in atoms) - 1.0) > PROB_TOL:
             return  # float rounding of the normalized probs can break the sum
-        assert abs(model.mean() - float(exact)) < 1e-9
+        if len({v for v, _ in atoms}) >= 3:
+            # Every atom has positive probability: a law of two points
+            # cannot hold three values.
+            with pytest.raises(InvalidSupport):
+                FiniteSupport(tuple(atoms))
+            return
+        assert abs(FiniteSupport(tuple(atoms)).mean() - float(exact)) < 1e-9
 
     def test_finite_support_inverse_cdf_order(self):
-        m = FiniteSupport(((0.4, 0.8), (0.0, 0.2)))
-        out = m.sample(np.array([0.0, 0.79, 0.8, 0.99]))
-        assert out.tolist() == [0.4, 0.4, 0.0, 0.0]
+        # u < P(higher atom) maps to the higher atom, in whatever order the
+        # atoms are listed.
+        u = [0.0, 0.79, 0.8, 0.99]
+        assert _losses(FiniteSupport(((0.4, 0.8), (0.0, 0.2))), u).tolist() == [0.4, 0.4, 0.0, 0.0]
+        assert _losses(FiniteSupport(((0.0, 0.2), (0.4, 0.8))), u).tolist() == [0.4, 0.4, 0.0, 0.0]
 
 
 class TestInstance:
@@ -114,12 +148,16 @@ class TestInstance:
             FiniteSupport(((0.2, 0.75), (0.6, 0.25))),
             FiniteSupport(((0.6, 0.25), (0.2, 0.75))),
             FiniteSupport(((0.9, 0.0), (0.1, 0.5), (0.4, 0.5))),
-            FiniteSupport(((0.0, 0.3), (0.5, 0.3), (1.0, 0.4))),
         ])
-        # assert_array_equal counts NaNs in the same places as equal.
         np.testing.assert_array_equal(inst.laws, [
             [0.3, 0.3, 0.0], [0.0, 1.0, 0.25], [0.7, 0.7, 0.0], [0.2, 0.6, 0.25],
-            [0.2, 0.6, 0.25], [0.1, 0.4, 0.5], [math.nan] * 3])
+            [0.2, 0.6, 0.25], [0.1, 0.4, 0.5]])
+        np.testing.assert_array_equal(inst.means, [0.3, 0.25, 0.7, 0.3, 0.3, 0.25])
+        # Three values of positive probability are refused, however listed.
+        for atoms in (((0.0, 0.3), (0.5, 0.3), (1.0, 0.4)),
+                      ((0.9, 0.1), (0.1, 0.5), (0.4, 0.4), (0.4, 0.0))):
+            with pytest.raises(InvalidSupport):
+                FiniteSupport(atoms)
 
     @given(st.lists(unit, min_size=1, max_size=6))
     def test_gaps_nonnegative_and_one_zero(self, means):

@@ -13,6 +13,7 @@ from dpexperts.core import (
     FiniteSupport,
     MechanismSpec,
     NoiseKind,
+    OutOfRange,
     PointMass,
     make_instance,
 )
@@ -124,38 +125,63 @@ class TestScoreSampling:
         inst = paper_example_two_actions()
         rng_a, rng_b = RngStream(5), RngStream(5)
         fast = sample_scores(inst, resample, 64, 1000, rng_a)
-        slow = _column_by_column_scores(inst, resample, 64, 1000, rng_b)
+        slow = _paper_example_scores(inst, resample, 64, 1000, rng_b)
         assert np.array_equal(fast, slow)
         assert rng_a.generator.bit_generator.state == rng_b.generator.bit_generator.state
 
+    @pytest.mark.parametrize("resample", [0, 1])
+    def test_bernoulli_columns_draw_in_order_at_every_mean(self, resample):
+        # Means 0 and 1 draw their binomial too: numpy consumes the stream
+        # for them, so skipping them would shift every later column's draws.
+        means = [0.0, 1.0, 0.3, 0.999]
+        rng_a, rng_b = RngStream(6), RngStream(6)
+        fast = sample_scores(bernoulli_instance(means), resample, 1000, 500, rng_a)
+        gen = rng_b.generator
+        slow = np.column_stack([gen.binomial(1000, p, size=500) for p in means])
+        assert np.array_equal(fast, slow)
+        assert rng_a.generator.bit_generator.state == rng_b.generator.bit_generator.state
 
-    def test_epoch_losses_match_per_model_sampling(self):
-        # A point mass, Bernoulli columns and a finite support, interleaved.
+    def test_counts_past_2_to_the_63_are_out_of_range(self):
+        inst = bernoulli_instance([0.2, 0.6])
+        with pytest.raises(OutOfRange, match="int64"):
+            sample_scores(inst, 0, 1 << 63, 10, RngStream(7))
+        # Point masses draw nothing, so their scores have no count to overflow.
+        scores = sample_scores(deterministic_instance([0.25]), 0, 1 << 63, 2, RngStream(7))
+        assert np.all(scores == 2.0 ** 61)
+
+    @pytest.mark.parametrize("r", [64, 65])
+    def test_selection_frequency_past_2_to_the_63_is_out_of_range(self, r):
+        # Epoch r has 2^(r - 1) steps; numpy's binomial counts are int64.
+        spec = MechanismSpec(1, NoiseKind.LAPLACE, epsilon=1.0)
+        with pytest.raises(OutOfRange, match="int64"):
+            selection_frequency(parse_instance_spec("bern:0.2,0.6"), spec, r, 10, 0)
+
+    def test_epoch_losses_map_u_below_q_to_the_higher_value(self):
+        # A point mass, Bernoulli columns and a two-value loss listed
+        # lower value first, interleaved.
         inst = make_instance([Bernoulli(0.3), PointMass(0.25), FiniteSupport(((0.0, 0.5), (1.0, 0.5))),
                               Bernoulli(0.0), PointMass(1.0), Bernoulli(1.0)])
         rng_a, rng_b = RngStream(6), RngStream(6)
         fast = engine._sample_epoch_losses(inst, 256, rng_a)
         u = rng_b.uniform((256, inst.k))
-        slow = np.column_stack([m.sample(u[:, j]) for j, m in enumerate(inst.models)])
+        slow = np.column_stack([u[:, 0] < 0.3, np.full(256, 0.25), u[:, 2] < 0.5,
+                                np.zeros(256), np.ones(256), u[:, 5] < 1.0]).astype(float)
         assert np.array_equal(fast, slow)
         assert rng_a.generator.bit_generator.state == rng_b.generator.bit_generator.state
 
 
-def _column_by_column_scores(instance, resample, length, trials, rng):
-    """sample_scores with every column filled in its own step, point masses too."""
+def _paper_example_scores(instance, resample, length, trials, rng):
+    """paper-example's scores written from its literal losses, the point 0.3
+    and the atoms ((0.4, 0.8), (0.0, 0.2)), column by column: Binomial(length,
+    mean) counts with resampling, and without it the point's fixed score and
+    multinomial atom counts. `instance` is unused; the signature is
+    `sample_scores`', so that tests can patch it in."""
     gen = rng.generator
-    scores = np.empty((trials, instance.k))
-    for j, model in enumerate(instance.models):
-        if resample or isinstance(model, Bernoulli):
-            scores[:, j] = gen.binomial(length, model.mean(), size=trials)
-        elif isinstance(model, PointMass):
-            scores[:, j] = length * model.value
-        elif isinstance(model, FiniteSupport):
-            values = np.array([v for v, _ in model.atoms])
-            probs = np.array([p for _, p in model.atoms])
-            counts = gen.multinomial(length, probs / probs.sum(), size=trials)
-            scores[:, j] = counts @ values
-    return scores
+    if resample:
+        return np.column_stack([gen.binomial(length, mean, size=trials)
+                                for mean in (0.3, 0.4 * 0.8)]).astype(float)
+    counts = gen.multinomial(length, [0.8, 0.2], size=trials)
+    return np.column_stack([np.full(trials, length * 0.3), counts @ np.array([0.4, 0.0])])
 
 
 class TestBatchAgreement:
@@ -207,7 +233,7 @@ class TestBatchAgreement:
         inst = paper_example_two_actions()
         spec = MechanismSpec(0, kind, epsilon=eps)
         fast = [selection_frequency(inst, spec, r, 2000, 31) for r in (1, 5, 10)]
-        monkeypatch.setattr(harness, "sample_scores", _column_by_column_scores)
+        monkeypatch.setattr(harness, "sample_scores", _paper_example_scores)
         slow = [selection_frequency(inst, spec, r, 2000, 31) for r in (1, 5, 10)]
         assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
 
@@ -221,23 +247,15 @@ def _spec(resample, kind, eps):
     return MechanismSpec(resample, kind, epsilon=eps if kind is not NoiseKind.NONE else 0.0)
 
 
-def _enumerated_law(model, resample, length):
-    """[(score, probability)] of one action's epoch score, by enumeration."""
-    if resample or isinstance(model, Bernoulli):
-        mu = model.mean()
-        return [(float(c), math.comb(length, c) * mu ** c * (1 - mu) ** (length - c))
-                for c in range(length + 1)]
-    if isinstance(model, PointMass):
-        return [(length * model.value, 1.0)]
-    values = np.array([v for v, _ in model.atoms])
-    probs = [p for _, p in model.atoms]
-    law = []
-    for counts in itertools.product(range(length + 1), repeat=len(values)):
-        if sum(counts) == length:
-            ways = math.factorial(length) / math.prod(math.factorial(c) for c in counts)
-            law.append((float(np.array(counts) @ values),
-                        ways * math.prod(p ** c for p, c in zip(probs, counts))))
-    return law
+def _enumerated_law(law, mean, resample, length):
+    """[(score, probability)] of one action's epoch score, by enumeration:
+    the loss law (b, a, q) scores length b + (a - b) c with probability
+    Binomial(length, q) at c, and with resampling the score is
+    Binomial(length, mean). Counts of probability 0 are left out."""
+    b, a, q = (0.0, 1.0, mean) if resample else law
+    terms = [(length * b + (a - b) * c, math.comb(length, c) * q ** c * (1 - q) ** (length - c))
+             for c in range(length + 1)]
+    return [(score, p) for score, p in terms if p > 0.0]
 
 
 def _row_pmf(scores, spec):
@@ -253,7 +271,8 @@ def _row_pmf(scores, spec):
 
 
 def _brute_force_pmf(inst, spec, length):
-    laws = [_enumerated_law(m, spec.resample, length) for m in inst.models]
+    laws = [_enumerated_law(law, mean, spec.resample, length)
+            for law, mean in zip(inst.laws, inst.means)]
     pmf = np.zeros(inst.k)
     for combo in itertools.product(*laws):
         pmf += math.prod(p for _, p in combo) * _row_pmf(np.array([s for s, _ in combo]), spec)
@@ -391,11 +410,11 @@ class TestEpochSelectionPmf:
                     actions = sample_pmf(selection_pmf(length * inst.means, spec), 300, rng)
             assert np.array_equal(run_batch(inst, spec, 1023, 300, RngStream(5)), regret)
 
-    def test_three_atom_support_takes_the_sampling_fallback(self):
-        inst = make_instance([FiniteSupport(((0.0, 0.3), (0.5, 0.3), (1.0, 0.4))),
-                              Bernoulli(0.5)])
+    def test_sampling_fallback_matches_sampled_scores_loop(self):
+        # Steps 0.4 and 1 share no lattice, so every epoch samples its scores.
+        inst = make_instance([FiniteSupport(((0.0, 0.5), (0.4, 0.5))), Bernoulli(0.3)])
         spec = MechanismSpec(0, NoiseKind.LAPLACE, epsilon=1.0)
-        assert epoch_selection_pmf(inst, spec, 4) is None
+        assert all(pmf is None for pmf in engine.epoch_pmfs(inst, spec, 63))
         rng = RngStream(6)
         actions = np.minimum((rng.uniform(500) * 2).astype(int), 1)
         regret = np.zeros(500)

@@ -62,6 +62,8 @@ CASES = {
     **{f"verify-{suite}.txt": ["verify", suite]
        for suite in ("binomial", "softmax-series", "softmax-derivative",
                      "privacy-gumbel", "privacy-laplace", "privacy-exponential")},
+    # Every suite at its shipped seed, Monte Carlo details included.
+    "verify-all.txt": ["verify", "all"],
 }
 
 

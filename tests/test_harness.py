@@ -13,7 +13,6 @@ from dpexperts.harness import (
     estimate_pseudoregret,
     selection_frequency,
     sweep,
-    write_csv,
 )
 from dpexperts.instances import (
     bernoulli_instance,
@@ -116,10 +115,3 @@ class TestCsv:
         assert row["noise"] == "gumbel" and row["T"] == "7"
         # Floats round-trip exactly through repr.
         assert float(row["regret_mean"]) == cells[0].estimate.mean
-
-    def test_write_csv(self, tmp_path):
-        cells = sweep([("det", deterministic_instance([0.0, 1.0]))],
-                      [GUMBEL1], [7], trials=50, base_seed=5)
-        path = tmp_path / "out.csv"
-        write_csv(cells, str(path))
-        assert path.read_text().startswith(CSV_HEADER)
