@@ -239,6 +239,20 @@ def _score_laws(instance: Instance, resample: int, length: int):
     return n * low, high - low, np.full(instance.k, n), q
 
 
+def _group_rows(columns: np.ndarray):
+    """The first index, group and count of each distinct row of
+    `columns.T`, groups in lexicographic row order: what
+    `np.unique(columns.T, axis=0, return_index=True, return_inverse=True,
+    return_counts=True)` returns after its values, from one stable lexsort."""
+    order = np.lexsort(columns[::-1])
+    ordered = columns[:, order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group, np.diff(np.append(np.flatnonzero(starts), order.size))
+
+
 def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     """Exact pmf of the action selected after one epoch of `length` steps,
     marginal over that epoch's scores and the selection noise.
@@ -279,9 +293,7 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     near = np.flatnonzero(
         centre - radius <= best + PRUNE_SCALES * spec.scale() + TIE_RTOL * (1.0 + abs(best)))
     pmf = np.zeros(instance.k)
-    _, first, group, copies = np.unique(
-        np.stack([base[near], step[near], n[near], q[near]], axis=1), axis=0,
-        return_index=True, return_inverse=True, return_counts=True)
+    first, group, copies = _group_rows(np.stack([base[near], step[near], n[near], q[near]]))
     if copies.size == 1:
         pmf[near] = 1.0 / near.size
         return pmf
@@ -307,7 +319,7 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     laws = near[first]
     low, pmfs, sizes = _binomial_pmfs(int(n[lattice[0]]), q[laws].tolist())
     lows = base[laws] + step[laws] * low
-    pmf[near] = lattice_selection_pmf(lows, pmfs, sizes, unit, copies, spec)[group.ravel()]
+    pmf[near] = lattice_selection_pmf(lows, pmfs, sizes, unit, copies, spec)[group]
     return pmf
 
 

@@ -26,16 +26,30 @@ SELECT_BLOCK_VALUES = 1 << 16
 
 # selection_pmf under Laplace and Exponential noise, in noise-scale units. An
 # action g > PRUNE_SCALES scales behind the best gets p = 0 (its p is at most
-# the two-action tail e^-g (1 + g/2) / 2 < 1e-18), and the noisy maximum's
-# value is integrated up to PRUNE_SCALES (no p_j loses more than e^-45 above).
-# Below the lower cut every action's integrand is under e^LOG_CUT times its
-# density; the CUT_ACTIONS smallest gaps certify the cut. Panels of
-# GL_ORDER-point Gauss-Legendre are one scale wide for UNIT_PANELS scales
-# above the cut, then WIDE_PANEL scales wide.
+# the two-action tail e^-g (1 + g/2) / 2 < 1e-18). Below the lower cut every
+# action's integrand is under e^LOG_CUT times its density; the CUT_ACTIONS
+# smallest gaps certify the cut. Panels of GL_ORDER-point Gauss-Legendre are
+# one scale wide for UNIT_PANELS scales above the cut, then WIDE_PANEL scales
+# wide, up to the tail start y0 >= 0; above y0 the integrand is a polynomial
+# in t = e^-y, integrated by one TAIL_ORDER-point rule in t.
+#
+# TAIL_ORDER is certified by the Bernstein-ellipse bound for Gauss quadrature
+# (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3, which
+# states it for the (n+1)-point rule): an m-point rule on [-1, 1] errs by at
+# most (64/15) M rho^(2-2m) / (rho^2 - 1) for an integrand bounded by M on the
+# ellipse E_rho. Over t in [0, e^-y0], E_rho reaches |t| <= e^-y0 (rho+1)^2 /
+# (4 rho), and the tail integrand -d tau_j prod_{i != j} (1 + d tau_i t) is
+# there at most |d| tau_j e^((rho+1)^2 / (4 rho)), as S = |d| sum_i tau_i e^-y0
+# <= 1. With the half-width e^-y0 / 2 and |d| tau_j e^-y0 <= 1, each p_j errs
+# by at most (32/15) e^((rho+1)^2 / (4 rho)) rho^(2-2m) / (rho^2 - 1), and the
+# errors of all p_j together by the same (the |d| tau_j e^-y0 sum to S). The
+# integrand is entire, so rho is free: m = 7 gives 1.4e-18 at rho = 56, and
+# m = 6 no better than 3.8e-15.
 PRUNE_SCALES = 45.0
 LOG_CUT = -60.0
 CUT_ACTIONS = 256
 GL_ORDER = 12
+TAIL_ORDER = 7
 UNIT_PANELS = 8
 WIDE_PANEL = 3.0
 
@@ -122,6 +136,17 @@ def _gauss_legendre(order: int = GL_ORDER):
     return np.polynomial.legendre.leggauss(order)
 
 
+@functools.lru_cache(maxsize=None)
+def _tail_rule():
+    """TAIL_ORDER-point Gauss-Legendre in t over [0, e^-y0], in y = -log t:
+    with t = e^-y0 u for u in [0, 1], the nodes are y0 - log u and the
+    weights w_u / (2 u), free of y0. Returns the offsets -log u and those
+    weights."""
+    x, w = _gauss_legendre(TAIL_ORDER)
+    u = (x + 1.0) / 2.0
+    return -np.log(u), w / 2.0 / u
+
+
 def _panel_nodes(edges: np.ndarray):
     """GL_ORDER-point Gauss-Legendre nodes and weights on each panel between
     consecutive sorted edges."""
@@ -154,25 +179,34 @@ def _lower_cut(kind: NoiseKind, part: np.ndarray) -> float:
 
 
 def _quadrature_nodes(kind: NoiseKind, g: np.ndarray):
-    """Gauss-Legendre nodes and weights on [`_lower_cut`, PRUNE_SCALES] for
-    gaps g >= 0 with min g = 0.
+    """Gauss-Legendre nodes and weights on [`_lower_cut`, inf) for gaps
+    g >= 0 with min g = 0.
 
     The cut bounds b(y) over the CUT_ACTIONS + 1 smallest g less the
     smallest. b then bounds log prod_{i != j} F(y + g_i) from above for
     every j, so below the cut each integrand is under e^LOG_CUT f(y + g_j).
-    Panels are one scale wide for UNIT_PANELS scales above the cut, then
-    WIDE_PANEL scales wide. A law with mass below 0 has a kink at each
-    y = -g_i, so its panels are split there; one without has factors
-    analytic on the domain.
+    Panels run up to y0 = max(0, cut, log(|d| sum_i tau_i)), for tau = e^-g
+    and the `PIECES` d above 0: one scale wide for UNIT_PANELS scales above
+    the cut, then WIDE_PANEL scales wide. A law with mass below 0 has a kink
+    at each y = -g_i <= 0, so its panels are split there; one without has
+    factors analytic on the domain. Above y0 every z = y + g_i >= 0, so with
+    t = e^-y, F_i = 1 + d tau_i t and f_j dy = -d tau_j dt, and each p_j's
+    tail is the integral of a polynomial over t in [0, e^-y0]: one
+    TAIL_ORDER-point rule in t, mapped back as nodes y = -log t with weights
+    w_t / t (`_tail_rule`), to the bound given at TAIL_ORDER
+    (S = |d| sum_i tau_i e^-y0 <= 1).
     """
     lo = _lower_cut(kind, np.sort(g)[1:CUT_ACTIONS + 1])
+    top = max(0.0, lo, math.log(abs(PIECES[kind][1][1]) * np.exp(-g).sum()))
     unit = lo + np.arange(UNIT_PANELS + 1.0)
-    edges = np.concatenate([unit[unit < PRUNE_SCALES],
-                            np.arange(unit[-1] + WIDE_PANEL, PRUNE_SCALES, WIDE_PANEL),
-                            [PRUNE_SCALES]])
+    edges = np.concatenate([unit[unit < top],
+                            np.arange(unit[-1] + WIDE_PANEL, top, WIDE_PANEL),
+                            [top]])
     if PIECES[kind][0][1]:
-        edges = np.union1d(edges, -g[(-g > lo) & (-g < PRUNE_SCALES)])
-    return _panel_nodes(edges)
+        edges = np.union1d(edges, -g[-g > lo])
+    y, w = _panel_nodes(edges)
+    offsets, weights = _tail_rule()
+    return np.concatenate([y, top + offsets]), np.concatenate([w, weights])
 
 
 def _hazard_pmf(g: np.ndarray, kind: NoiseKind) -> np.ndarray:
@@ -183,7 +217,11 @@ def _hazard_pmf(g: np.ndarray, kind: NoiseKind) -> np.ndarray:
     (`_add_exclusive_products`), a block of (kept actions, nodes) at a time,
     with the node weights folded into f. F and f are read off t = e^-z for
     z = y + g: F = 1 + d t and f = -d t at z >= 0, and F = f = d' / t below
-    0, for the `PIECES` d above 0 and d' below.
+    0, for the `PIECES` d above 0 and d' below. The nodes
+    (`_quadrature_nodes`) are y-panels up to y0 = max(0, cut,
+    log(|d| sum_i e^-g_i)) and, above y0, where no z is below 0, one
+    TAIL_ORDER-point rule in e^-y, on which each p_j's tail is a polynomial;
+    that rule errs by at most 1.4e-18 per entry.
     """
     p = np.zeros(g.size)
     keep = np.flatnonzero(g <= PRUNE_SCALES)

@@ -5,7 +5,7 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpexperts import engine, harness, mechanism
 from dpexperts.core import (
@@ -425,6 +425,22 @@ class TestEpochSelectionPmf:
                 actions = select_batch(sample_scores(inst, 0, length, 500, rng), spec, rng)
         assert np.array_equal(run_batch(inst, spec, 63, 500, RngStream(6)), regret)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_law_groups_match_np_unique(self, rows, seed):
+        # Law tables drawn from a few values per column, so rows repeat, with
+        # -0.0 beside 0.0: the first indices, groups and counts are np.unique's.
+        rng = np.random.default_rng(seed)
+        choices = [np.array([-0.0, 0.0, 0.5, 2.0]), np.array([0.0, 0.25, 1.0]),
+                   np.array([0.0, 8.0, 1024.0]), np.array([0.0, 0.1, 0.3, 1e-12])]
+        columns = np.stack([rng.choice(c[:rng.integers(1, c.size + 1)], rows)
+                            for c in choices])
+        _, first, group, copies = np.unique(columns.T, axis=0, return_index=True,
+                                            return_inverse=True, return_counts=True)
+        got = engine._group_rows(columns)
+        for a, b in zip(got, (first, group.ravel(), copies)):
+            assert np.array_equal(a, b)
+
     def test_mixed_steps_and_offsets_take_the_fallback(self):
         spec = MechanismSpec(0, NoiseKind.GUMBEL, epsilon=1.0)
         steps = make_instance([FiniteSupport(((0.0, 0.5), (0.4, 0.5))), Bernoulli(0.3)])
@@ -582,6 +598,25 @@ def _scalar_binomial_pmf(n: int, p: float):
     return mode - down.size + int(kept[0]), pmf / pmf.sum()
 
 
+def _log_binom_ratio(n: int, q: float, k: int) -> float:
+    """log P(k) - log P(mode) of Binomial(n, q), from mpmath loggamma
+    differences at 50 digits; scipy's `binom.logpmf` errs by about 1e-5
+    nats at n near 2^32."""
+    mode = min(int((n + 1) * q), n)
+    with mp.workdps(50):
+        log_q, log_1q = mp.log(mp.mpf(q)), mp.log1p(-mp.mpf(q))
+
+        def log_pmf(c):
+            return -mp.loggamma(c + 1) - mp.loggamma(n - c + 1) + c * log_q + (n - c) * log_1q
+
+        return float(log_pmf(k) - log_pmf(mode))
+
+
+# A draw on which scipy put the low end at -70.0000068 nats, past the 1e-6
+# slack; at 50 digits it lies at -69.999995, inside the cut.
+CUT_DRAW_N, CUT_DRAW_Q = 3954143440, 0.21405810699932298
+
+
 class TestBinomialPmf:
     @pytest.mark.parametrize("n,p", [(6, 0.01), (1000, 0.2), (1 << 18, 0.4), (1 << 20, 1e-5),
                                      (1 << 29, 0.37)])
@@ -600,25 +635,26 @@ class TestBinomialPmf:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 1 << 32), log_p=st.floats(math.log(1e-12), math.log(0.5)),
            upper=st.booleans())
+    @example(n=CUT_DRAW_N, log_p=math.log(CUT_DRAW_Q), upper=False)
     def test_window_holds_the_cut_on_drawn_laws(self, n, log_p, upper):
         # The pmf holds every count within 70 nats of the mode and no other:
         # its end counts are inside the cut, the counts just beyond them
-        # outside it (scipy's log-pmf relative to the mode), from n = 1 to
-        # 2^32 and p out to 1e-12 from 0 and from 1.
+        # outside it (the log-pmf relative to the mode, in mpmath), from
+        # n = 1 to 2^32 and p out to 1e-12 from 0 and from 1.
         p = -math.expm1(log_p) if upper else math.exp(log_p)
         low, pmf = engine._binomial_pmf(n, p)
-        peak = stats.binom.logpmf(min(int((n + 1) * p), n), n, p)
         for end in (low, low + pmf.size - 1):
-            assert stats.binom.logpmf(end, n, p) - peak >= -70.0 - 1e-6
+            assert _log_binom_ratio(n, p, end) >= -70.0 - 1e-6
         for outside in (low - 1, low + pmf.size):
             if 0 <= outside <= n:
-                assert stats.binom.logpmf(outside, n, p) - peak < -70.0 + 1e-6
+                assert _log_binom_ratio(n, p, outside) < -70.0 + 1e-6
         assert abs(pmf.sum() - 1.0) <= 1e-15
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 1 << 32),
            laws=st.lists(st.tuples(st.floats(math.log(1e-12), math.log(0.5)), st.booleans()),
                          min_size=2, max_size=5))
+    @example(n=CUT_DRAW_N, laws=[(math.log(CUT_DRAW_Q), False), (math.log(0.3), True)])
     def test_batched_rows_are_their_one_row_calls(self, n, laws):
         # Several laws in one call, with p out to 1e-12 from 0 and from 1:
         # every row is bitwise its one-row call, whatever window or block
@@ -633,12 +669,11 @@ class TestBinomialPmf:
             assert np.array_equal(row[:size], one) and not row[size:].any()
             scalar_low, scalar = _scalar_binomial_pmf(n, q)
             assert low == scalar_low and np.array_equal(row[:size], scalar)
-            peak = stats.binom.logpmf(min(int((n + 1) * q), n), n, q)
             for end in (low, low + size - 1):
-                assert stats.binom.logpmf(end, n, q) - peak >= -70.0 - 1e-6
+                assert _log_binom_ratio(n, q, end) >= -70.0 - 1e-6
             for outside in (low - 1, low + size):
                 if 0 <= outside <= n:
-                    assert stats.binom.logpmf(outside, n, q) - peak < -70.0 + 1e-6
+                    assert _log_binom_ratio(n, q, outside) < -70.0 + 1e-6
 
     def test_degenerate_means_are_points(self):
         assert engine._binomial_pmf(9, 0.0)[0] == 0

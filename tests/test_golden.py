@@ -36,6 +36,9 @@ CASES = {
     "exact-det.txt": ["exact", "--instance", "det:0,1", "--eps", "2", "--T", "1023"],
     "exact-grid-4096.txt": ["exact", "--instance", "grid:K=4096", "--noise", "laplace",
                             "--eps", "1", "--T", "1073741823"],
+    # The point-mass kernel under Exponential noise.
+    "exact-grid-256-exponential.txt": ["exact", "--instance", "grid:K=256", "--noise",
+                                       "exponential", "--eps", "1", "--T", "1073741823"],
     "exact-bern.txt": ["exact", "--instance", "bern:0.2,0.5,0.8", "--B", "1",
                        "--noise", "exponential", "--T", "1048575"],
     # Lattice steps wider than a noise scale: h = 2 at eps = 4, h = 4 with a

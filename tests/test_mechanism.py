@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -573,3 +574,109 @@ class TestSelectionPmf:
             selection_pmf(np.array(stack), spec)
         k = len(stack[0])
         assert selection_pmf(np.array(stack)[0], spec) == pytest.approx([1.0 / k] * k, abs=1e-13)
+
+
+def _panel_rule_nodes(kind: NoiseKind, g: np.ndarray, wide: float):
+    """The y-panel rule `_quadrature_nodes` used before its tail rule, kept
+    as the reference: GL_ORDER-point panels from the lower cut up to
+    PRUNE_SCALES, one scale wide for UNIT_PANELS scales and then `wide`,
+    split at the kinks. It used wide = WIDE_PANEL; the reference takes 1, as
+    a 3-scale panel starting at y = 0 errs by up to 1.4e-13
+    (`test_tail_rule_mends_a_wide_panel_at_zero`)."""
+    top = mechanism.PRUNE_SCALES
+    lo = mechanism._lower_cut(kind, np.sort(g)[1:mechanism.CUT_ACTIONS + 1])
+    unit = lo + np.arange(mechanism.UNIT_PANELS + 1.0)
+    edges = np.concatenate([unit[unit < top], np.arange(unit[-1] + wide, top, wide), [top]])
+    if PIECES[kind][0][1]:
+        edges = np.union1d(edges, -g[(-g > lo) & (-g < top)])
+    return mechanism._panel_nodes(edges)
+
+
+def _panel_rule_pmf(g: np.ndarray, kind: NoiseKind, wide: float = 1.0) -> np.ndarray:
+    """`_hazard_pmf`'s arithmetic on the nodes of `_panel_rule_nodes`."""
+    with mock.patch.object(mechanism, "_quadrature_nodes",
+                           lambda kind, gk: _panel_rule_nodes(kind, gk, wide)):
+        return mechanism._hazard_pmf(g, kind)
+
+
+def _tail_bound(m: int) -> float:
+    """The bound given at TAIL_ORDER on the error of each p_j's tail under
+    an m-point rule in t, minimised over the ellipse parameter rho."""
+    rho = np.linspace(1.01, 200.0, 20_000)
+    return float((32.0 / 15.0 * np.exp((rho + 1.0) ** 2 / (4.0 * rho))
+                  * rho ** (2.0 - 2.0 * m) / (rho ** 2 - 1.0)).min())
+
+
+TAIL_BOUNDS = [_tail_bound(m) for m in range(1, mechanism.TAIL_ORDER + 1)]
+
+
+class TestTailRule:
+    """The TAIL_ORDER-point rule in t = e^-y above y0, against the panels it
+    replaced and against exact polynomial integrals."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from([NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL]),
+           k=st.integers(2, 4096), spread=st.floats(0.0, 60.0), power=st.floats(0.2, 5.0),
+           ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_panel_rule(self, kind, k, spread, power, ties, seed):
+        # Gaps in [0, 60] scales, bunched near 0 or near the spread, on a
+        # quarter-scale grid when `ties`. 1e-15 absolute, plus sqrt(K) ulps
+        # of each entry: the rounding of the product of K factors, which
+        # moves with the nodes (a K = 3913 Laplace row differs by 1.5e-15 at
+        # p = 0.16, and a finer rule lies 8e-16 from this one there).
+        rng = np.random.default_rng(seed)
+        g = spread * rng.random(k) ** power
+        if ties:
+            g = np.round(4.0 * g) / 4.0
+        g -= g.min()
+        want = _panel_rule_pmf(g, kind)
+        got = selection_pmf(g, MechanismSpec(0, kind, epsilon=2.0))
+        assert np.all(np.abs(got - want) <= 1e-15 + math.sqrt(k) * 2.3e-16 * want)
+
+    def test_tail_rule_mends_a_wide_panel_at_zero(self):
+        # worst-np:K=8,delta=0.25 at eps = 0.25: gaps 1/32 behind one action.
+        # The lower cut sits near -8, so the unit panels end at -1/32, and
+        # with WIDE_PANEL the next panel covers [0, 2.97], 1.4e-13 off.
+        g = np.array([0.0] + [1.0 / 32.0] * 7)
+        spec = MechanismSpec(0, NoiseKind.LAPLACE, epsilon=2.0)
+        oracle = rnm_pmf_oracle(g, spec)
+        assert np.abs(selection_pmf(g, spec) - oracle).max() <= 1e-15
+        assert np.abs(_panel_rule_pmf(g, NoiseKind.LAPLACE) - oracle).max() <= 1e-15
+        wide = _panel_rule_pmf(g, NoiseKind.LAPLACE, mechanism.WIDE_PANEL)
+        assert np.abs(wide - oracle).max() > 1e-13
+
+    def test_tail_order_is_the_least_certified(self):
+        # The bound falls below 1e-17 first at TAIL_ORDER.
+        assert TAIL_BOUNDS[-1] <= 1.5e-18 and TAIL_BOUNDS[-2] > 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from([NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL]),
+           k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_rule_integrates_the_tail_polynomial_within_the_bound(self, kind, k, seed):
+        # tau in (0, 1], top = e^-y0 with y0 >= 0 and S = |d| sum tau top <= 1,
+        # at S = 1 where it can be: each m-point rule up to TAIL_ORDER meets
+        # the bound against the exact integral of -d tau_j prod_{i != j}
+        # (1 + d tau_i t) over [0, top], up to a few ulps of the integral (<= 1).
+        d = PIECES[kind][1][1]
+        tau = np.random.default_rng(seed).random(k)
+        tau[0] = 1.0
+        top = min(1.0, 1.0 / (abs(d) * tau.sum()))
+        for j in range(k):
+            poly = np.polynomial.Polynomial([-d * tau[j]])
+            for i in np.delete(np.arange(k), j):
+                poly *= np.polynomial.Polynomial([1.0, d * tau[i]])
+            exact = poly.integ()(top)
+            for m, bound in enumerate(TAIL_BOUNDS, start=1):
+                x, w = mechanism._gauss_legendre(m)
+                rule = top / 2.0 * (w @ poly(top / 2.0 * (x + 1.0)))
+                assert abs(rule - exact) <= bound + 4e-16
+            # The kernel's form in y: nodes y0 + offsets, f dy = poly(t) t dy.
+            offsets, weights = mechanism._tail_rule()
+            t = top * np.exp(-offsets)
+            assert abs(weights @ (poly(t) * t) - exact) <= TAIL_BOUNDS[-1] + 4e-16
+
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL])
+    @pytest.mark.parametrize("k", [2, 3, 16, 255, 4096, 65536])
+    def test_equal_scores_are_uniform(self, kind, k):
+        pmf = selection_pmf(np.full(k, 7.0), MechanismSpec(0, kind, epsilon=1.0))
+        assert np.abs(pmf - 1.0 / k).max() <= 1e-15
