@@ -88,12 +88,16 @@ def sample_scores(instance: Instance, resample: int, length: int, trials: int,
 
     Every column with a step draws its binomial, in column order, even at
     q = 0 or 1, where numpy still consumes the stream; point masses without
-    resampling consume no randomness. A draw of 2^63 steps or more, whose
-    counts overflow numpy's int64, raises OutOfRange.
+    resampling consume no randomness, and then every row is the one score
+    row, returned as a read-only broadcast view of it (`select_batch` only
+    reads its scores). A draw of 2^63 steps or more, whose counts overflow
+    numpy's int64, raises OutOfRange.
     """
     base, step, _, q = _score_laws(instance, resample, length)
     draws = np.flatnonzero(step)
-    if draws.size and length >= 1 << 63:
+    if not draws.size:
+        return np.broadcast_to(base, (trials, instance.k))
+    if length >= 1 << 63:
         raise OutOfRange(f"{length} steps overflow the sampler's int64 counts")
     gen = rng.generator
     scores = np.tile(base, (trials, 1))
@@ -347,6 +351,11 @@ def run_batch(instance: Instance, spec: MechanismSpec, horizon: int, trials: int
     the test suite). `pmfs`, `epoch_pmfs` of this or a larger horizon, saves
     recomputing them.
 
+    An epoch whose pmf has one nonzero entry picks that action on every
+    trial whatever its uniforms, so it skips them (`RngStream.skip`) and
+    the next epoch adds one scalar regret to every trial: the stream, the
+    picks and the regrets are bitwise those of drawing the uniforms.
+
     Fallback: where `epoch_selection_pmf` returns None (scores on no single
     lattice, or an integration window over PMF_MAX_VALUES), the epoch
     samples its (trials, K) scores with `sample_scores` and selects with
@@ -370,6 +379,9 @@ def run_batch(instance: Instance, spec: MechanismSpec, horizon: int, trials: int
                 except OutOfRange as exc:
                     raise OutOfRange(f"epoch {r} has no exact selection pmf, and its {exc}") from exc
                 actions = select_batch(scores, spec, rng)
+            elif np.count_nonzero(pmf) == 1:
+                rng.skip(trials)
+                actions = np.argmax(pmf)
             else:
                 actions = sample_pmf(pmf, trials, rng)
     return regret

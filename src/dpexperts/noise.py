@@ -51,7 +51,10 @@ def derive_seed(base: int, *indices: int) -> int:
 
 
 class RngStream:
-    """Deterministic 64-bit-seeded uniform stream (PCG64). Single-owner."""
+    """Deterministic 64-bit-seeded uniform stream (PCG64). Single-owner.
+
+    Each uniform takes one 64-bit PCG64 output, so `skip(n)` moves the
+    stream to where `uniform(n)` would leave it without drawing."""
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
@@ -60,6 +63,18 @@ class RngStream:
     def uniform(self, size=None):
         """Uniforms in [0, 1); the only primitive every sampler consumes."""
         return self._gen.random(size)
+
+    def skip(self, n: int) -> None:
+        """Advance the stream past n uniforms, in O(log n) steps (PCG's
+        jump-ahead): every later draw is as if `uniform(n)` had been drawn.
+        numpy's `advance` drops the 32-bit half-output a 32-bit integer draw
+        may have buffered, which uniforms leave in place; it is put back."""
+        bitgen = self._gen.bit_generator
+        state = bitgen.state
+        bitgen.advance(n)
+        if state["has_uint32"]:
+            state["state"] = bitgen.state["state"]
+            bitgen.state = state
 
     @property
     def generator(self) -> np.random.Generator:

@@ -120,6 +120,19 @@ class TestScoreSampling:
         assert rng.generator.bit_generator.state == before
         assert np.array_equal(scores, np.tile((1 << 29) * inst.means, (300, 1)))
 
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_point_masses_return_a_read_only_view_that_selects_like_tiles(self, kind):
+        inst = parse_instance_spec("lower-bound:K=16,delta=0.1,l=3")
+        scores = sample_scores(inst, 0, 1 << 10, 3000, RngStream(4))
+        tiled = np.tile((1 << 10) * inst.means, (3000, 1))
+        assert scores.shape == (3000, 16) and np.array_equal(scores, tiled)
+        with pytest.raises(ValueError, match="read-only"):
+            scores[0, 0] = 1.0
+        rng, expected = RngStream(6), RngStream(6)
+        picks = select_batch(scores, _spec(0, kind, 0.5), rng)
+        assert np.array_equal(picks, select_batch(tiled, _spec(0, kind, 0.5), expected))
+        assert rng.generator.bit_generator.state == expected.generator.bit_generator.state
+
     @pytest.mark.parametrize("resample", [0, 1])
     def test_mixed_columns_match_column_by_column_fill(self, resample):
         inst = paper_example_two_actions()
@@ -184,7 +197,48 @@ def _paper_example_scores(instance, resample, length, trials, rng):
     return np.column_stack([np.full(trials, length * 0.3), counts @ np.array([0.4, 0.0])])
 
 
+def _drawn_run_batch(instance, spec, horizon, trials, rng):
+    """`run_batch` with every epoch drawing its picks: through `sample_pmf`
+    where the epoch has a pmf, one-hot or not, else from sampled scores."""
+    lengths = epoch_lengths(horizon)
+    pmfs = engine.epoch_pmfs(instance, spec, horizon)
+    k = instance.k
+    regret = np.zeros(trials)
+    actions = np.minimum((rng.uniform(trials) * k).astype(int), k - 1)
+    for r, length in enumerate(lengths, start=1):
+        regret += length * instance.gaps[actions]
+        if r < len(lengths):
+            pmf = pmfs[r - 1]
+            if pmf is None:
+                scores = sample_scores(instance, spec.resample, length, trials, rng)
+                actions = select_batch(scores, spec, rng)
+            else:
+                actions = sample_pmf(pmf, trials, rng)
+    return regret
+
+
 class TestBatchAgreement:
+    @pytest.mark.parametrize("spec_text,kind,eps,horizon", [
+        (spec_text, kind, eps, horizon) for horizon in (63, (1 << 30) - 1)
+        for spec_text, kind, eps in [
+            ("worst-np:K=8,delta=0.25", NoiseKind.GUMBEL, 2.0),
+            ("lower-bound:K=16,delta=0.1,l=3", NoiseKind.LAPLACE, 0.5),
+            ("grid:K=64", NoiseKind.NONE, 0.0),
+            ("paper-example", NoiseKind.LAPLACE, 1.0),
+        ]
+    ] + [("det:0,1", NoiseKind.LAPLACE, 1.0, (1 << 60) - 1)])  # lengths past 2^53 round
+    def test_certain_epochs_skip_to_the_drawn_picks(self, spec_text, kind, eps, horizon):
+        # A one-hot epoch skips its uniforms; the regrets and the stream are
+        # bitwise those of drawing every epoch's picks.
+        inst, spec = parse_instance_spec(spec_text), _spec(0, kind, eps)
+        rng, expected = RngStream(9), RngStream(9)
+        regret = run_batch(inst, spec, horizon, 2000, rng)
+        assert np.array_equal(regret, _drawn_run_batch(inst, spec, horizon, 2000, expected))
+        assert rng.generator.bit_generator.state == expected.generator.bit_generator.state
+        # Every case has certain epochs past T = 63, so the skip is taken.
+        pmfs = engine.epoch_pmfs(inst, spec, horizon)
+        assert horizon == 63 or any(np.count_nonzero(pmf) == 1 for pmf in pmfs)
+
     @pytest.mark.parametrize("spec_text,resample,kind,eps", [
         pytest.param("paper-example", 0, NoiseKind.GUMBEL, 1.0, id="0-gumbel-1.0"),
         pytest.param("paper-example", 1, NoiseKind.LAPLACE, 0.5, id="1-laplace-0.5"),

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from dpexperts.core import MechanismSpec, NoiseKind
@@ -47,6 +47,28 @@ class TestSeeding:
         b = RngStream(123).uniform(100)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, RngStream(124).uniform(100))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["uniform", "binomial", "int32"]),
+                              st.integers(0, 50)), max_size=6),
+           st.integers(0, 10**6), st.integers(1, 20), st.integers(0, 2**64 - 1))
+    def test_skip_lands_where_the_uniforms_would(self, draws, n, m, seed):
+        # A 32-bit integer draw buffers half an output, which uniforms keep.
+        skipped, drawn = RngStream(seed), RngStream(seed)
+        for rng in (skipped, drawn):
+            for kind, size in draws:
+                if kind == "uniform":
+                    rng.uniform(size)
+                elif kind == "binomial":
+                    rng.generator.binomial(1000, 0.3, size=size)
+                else:
+                    rng.generator.integers(0, 7, size=size, dtype=np.int32)
+        skipped.skip(n)
+        drawn.uniform(n)
+        assert np.array_equal(skipped.uniform(m), drawn.uniform(m))
+        assert np.array_equal(skipped.generator.integers(0, 2**31, 5, dtype=np.int32),
+                              drawn.generator.integers(0, 2**31, 5, dtype=np.int32))
+        assert skipped.generator.bit_generator.state == drawn.generator.bit_generator.state
 
     def test_index_in_range(self):
         rng = RngStream(5)
