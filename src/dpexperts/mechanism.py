@@ -55,9 +55,14 @@ WIDE_PANEL = 3.0
 
 # `_lattice_hazard_pmf` under Gumbel noise: the midpoint rule over a period
 # is accurate to QUAD_TOL, bounded on the strip |Im o| < GUMBEL_STRIP (below
-# pi/2, where |F| <= 1).
+# pi/2, where |F| <= 1). Lattice terms at z are summed directly only inside
+# GUMBEL_BAND. Below it e^-z > 745.2, so F(z) = exp(-e^-z) < e^-745.2 is under
+# half the least subnormal: float64 rounds F to 0, and f = e^-z F with it.
+# Above it e^-z < 2^-53, so F is 1 and f = e^-z F is e^-z, each to within the
+# unit roundoff 2^-53 relative.
 QUAD_TOL = 1e-13
 GUMBEL_STRIP = 1.4
+GUMBEL_BAND = (-math.log(745.2), 53 * math.log(2))
 
 # `_geometric_suffix` runs its filters in blocks this many noise scales long,
 # so that the factors e^(h i) within a block stay below e^300.
@@ -113,9 +118,11 @@ def selection_pmf(scores: np.ndarray, spec: MechanismSpec) -> np.ndarray:
 
     Gumbel noise gives the softmax, `log_gumbel_selection_pmf`; no noise
     splits the tie set evenly; Laplace and Exponential noise integrate
-    `_hazard_pmf` by Gauss-Legendre quadrature, to about 1e-13, on one vector
-    only. The Gumbel and noiseless pmfs work along the last axis, one pmf per
-    row of a stack.
+    `_hazard_pmf` by Gauss-Legendre quadrature, on one vector only. Its error
+    grows about linearly in K with the product over K factors: on two-level
+    scores, p_0 is within 5e-16, 3.1e-14, 1.2e-13 and 2.0e-12 of the
+    Exponential closed form at K = 16, 1024, 4096 and 2^16. The Gumbel and
+    noiseless pmfs work along the last axis, one pmf per row of a stack.
     """
     scores = np.asarray(scores, dtype=float)
     if spec.noise is NoiseKind.NONE:
@@ -332,12 +339,6 @@ def _add_exclusive_products(p, laws, weight, f, cdf, copies) -> None:
     p[laws] += weight * ((f / cdf) @ joint)
 
 
-def _next_fft_size(n: int) -> int:
-    """Smallest 2^a 3^b >= n, a length pocketfft transforms fast."""
-    return min((1 << max(0, math.ceil(math.log2(n / 3 ** b) - 1e-9))) * 3 ** b
-               for b in range(int(math.log(n, 3)) + 2))
-
-
 def _midpoint_count(h: float) -> int:
     """Midpoint nodes per period of width h for Gumbel noise, from the bound
     2 h M / (e^(2 pi a m / h) - 1) <= QUAD_TOL on the m-point midpoint rule
@@ -451,13 +452,16 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     o: T = sum_{n >= 0} pmf, U = sum_{n >= 0} pmf e^(-h n) and
     D = sum_{n < 0} pmf e^(h (n + 1)) (Exponential has b = 0 and skips D).
     `_tail_sums` takes them from cumulative sums of nonnegative terms, and
-    a < 0 < b, so f_Y is a sum of nonnegative terms too: small entries are
-    accurate relative to themselves, down to the prune. Every factor is at
-    most 1, so nothing overflows at any h. Gumbel's F does not separate, so
-    it takes one FFT convolution of F and one of f per offset. Their error
-    is absolute, about 1e-16 of the largest term: entries of F_Y and f_Y
-    below about 1e-15 are rounding, and f_Y, which the rounding can leave a
-    few ulps below 0, is clamped at 0.
+    a < 0 < b, so f_Y is a sum of nonnegative terms too. Every factor is at
+    most 1, so nothing overflows at any h. Gumbel's F does not separate, but
+    float64 makes F and f 0 below GUMBEL_BAND, and F = 1 and f = e^-z above
+    it. With N the first index above the band, F_Y = T + B_F and
+    f_Y = e^-(o + h N) U + B_f, for T and U of `_tail_sums` on the indices
+    n - N, and band sums B_F and B_f: each row correlated directly with F
+    and f sampled at the band's z, about 43 / h samples per offset. Terms
+    below the band are 0 and skipped. Every term of every sum is
+    nonnegative, so under every noise kind small entries are accurate
+    relative to themselves, down to the prune.
 
     A law's floor t is its lowest support value with more than
     e^-PRUNE_SCALES of mass at or below it. A law with t > PRUNE_SCALES gets
@@ -494,23 +498,14 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     span = sizes[lattice]
     width = span.max()
     if kind is NoiseKind.GUMBEL:
-        base = first + shift.min()
-        count = int(periods + (shift + span).max() - shift.min() - 1)
-        nfft = _next_fft_size(count)
-        starts = shift - shift.min() + span - 1
-        gather = (np.arange(lattice.size)[:, None], starts[:, None] + np.arange(periods))
-        # Each row reversed within its own size: the negative columns wrap
-        # round to the zeros past the row's end.
-        reversed_pmfs = np.zeros((lattice.size, nfft))
-        reversed_pmfs[:, :width] = pmfs[lattice[:, None], span[:, None] - 1 - np.arange(width)]
-        fft = np.fft
-        kernels = fft.rfft(reversed_pmfs)
-
-        def correlate(sequence):
-            """(laws, periods): each law's pmf correlated with a grid sequence."""
-            return fft.irfft(kernels * fft.rfft(sequence, nfft), nfft)[gather]
-
-        n = base + np.arange(count)
+        # Band indices bottom <= n < top, so top is the docstring's N; mass and
+        # upper are T and U of the indices n >= top.
+        bottom, top = math.floor(GUMBEL_BAND[0] / h), math.ceil(GUMBEL_BAND[1] / h)
+        band = h * np.arange(bottom, top)
+        mass, upper, _ = _tail_sums(pmfs[lattice, :width], first + shift - top, periods, h,
+                                    lower=False)
+        # The period at which law i's full correlation with the band starts.
+        starts = bottom - first - shift - span + 1
         m = _midpoint_count(h)
         offsets = h * (np.arange(m) + 0.5) / m
         weights = np.full(m, h / m)
@@ -526,13 +521,15 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     pdf = np.empty((laws.size, periods))
     for offset, weight in zip(offsets, weights):
         if kind is NoiseKind.GUMBEL:
-            z = offset + h * n
-            cdf[:lattice.size] = correlate(noise_cdf(kind, z, 1.0))
-            pdf[:lattice.size] = correlate(noise_pdf(kind, z, 1.0))
-            # FFT rounding can leave F and f a few ulps below 0. Where W
-            # underflows, every f_j prod_{i != j} F_i = (f_j / F_j) W is
-            # negligible: nodes stay off the kinks, so f / F is bounded.
-            np.maximum(pdf[:lattice.size], 0.0, out=pdf[:lattice.size])
+            cdf[:lattice.size] = mass
+            pdf[:lattice.size] = upper * math.exp(-offset - h * top)
+            z = offset + band
+            for out, grid in ((cdf, noise_cdf(kind, z, 1.0)), (pdf, noise_pdf(kind, z, 1.0))):
+                for row, (i, start) in enumerate(zip(lattice, starts)):
+                    full = np.correlate(grid, pmfs[i, :sizes[i]], "full")
+                    lo, hi = max(start, 0), min(start + full.size, periods)
+                    if lo < hi:
+                        out[row, lo:hi] += full[lo - start:hi - start]
         else:
             up = upper * (a * math.exp(-offset))
             np.add(mass, up, out=cdf[:lattice.size])

@@ -583,31 +583,33 @@ class TestEpochSelectionPmf:
 
     @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL,
                                       NoiseKind.GUMBEL])
-    def test_points_left_by_the_floor_prune_skip_the_fft(self, kind, monkeypatch):
+    def test_points_left_by_the_floor_prune_skip_the_tail_sums(self, kind, monkeypatch):
         # The Bernoulli(0.05)'s window reaches the two points at 0, but its
         # floor lies over PRUNE_SCALES above them: the kernel returns the
-        # points' tie split before sizing any FFT (Gumbel) or taking any
-        # tail sum (Laplace and Exponential).
+        # points' tie split before taking any tail sum.
         def unused(*args, **kwargs):
             raise AssertionError("lattice work done for two points")
 
-        monkeypatch.setattr(mechanism, "_next_fft_size", unused)
         monkeypatch.setattr(mechanism, "_tail_sums", unused)
         pmf = epoch_selection_pmf(parse_instance_spec("bern:0,0,0.05"), _spec(0, kind, 1.0),
                                   4096)
         assert np.abs(pmf - [0.5, 0.5, 0.0]).max() <= 1e-15
 
-    # Two-action entries far below 1e-13 (cases with small true p), B=1,
-    # Laplace, one epoch of length L: the second action's p against a
-    # brute-force mpmath sum over both binomials of the two-Laplace tail
-    # P(Q_2 - Q_1 > x) = e^(-x/b) (2 + x/b) / 4 at x >= 0, b = 2/eps.
+    # Two-action entries far below 1e-13 (cases with small true p), B=1, one
+    # epoch of length L: the second action's p against a brute-force mpmath
+    # sum over both binomials of the two-noise tail P(Q_2 - Q_1 > x), b = 2/eps:
+    # e^(-x/b) (2 + x/b) / 4 at x >= 0 for Laplace, the logistic
+    # 1 / (1 + e^(x/b)) for Gumbel.
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.GUMBEL])
     @pytest.mark.parametrize("means,length,eps", [((0.1, 0.9), 16, 4.0), ((0.1, 0.9), 32, 4.0),
                                                   ((0.2, 0.8), 64, 2.0), ((0.1, 0.9), 64, 2.0)])
-    def test_small_entries_are_accurate_relative_to_themselves(self, means, length, eps):
+    def test_small_entries_are_accurate_relative_to_themselves(self, means, length, eps, kind):
         with mp.workdps(40):
             b = mp.mpf(2) / eps
 
             def tail(x):
+                if kind is NoiseKind.GUMBEL:
+                    return 1 / (1 + mp.exp(x / b))
                 side = mp.exp(-abs(x) / b) * (2 + abs(x) / b) / 4
                 return side if x >= 0 else 1 - side
 
@@ -616,7 +618,7 @@ class TestEpochSelectionPmf:
             expected = mp.fsum(laws[0][s] * laws[1][t] * tail(t - s)
                                for s in range(length + 1) for t in range(length + 1))
         got = epoch_selection_pmf(bernoulli_instance(list(means)),
-                                  MechanismSpec(1, NoiseKind.LAPLACE, epsilon=eps), length)[1]
+                                  MechanismSpec(1, kind, epsilon=eps), length)[1]
         assert abs(got / float(expected) - 1.0) <= 1e-12
 
     def test_identical_laws_are_grouped_without_cost_in_k(self):
