@@ -8,8 +8,10 @@ import numpy as np
 
 from .core import Instance, MechanismSpec, NoiseKind, OutOfRange, RunRecord
 from .mechanism import (
+    LOG_CUT,
     PRUNE_SCALES,
     TIE_RTOL,
+    _group_rows,
     bernoulli_resample,
     lattice_selection_pmf,
     sample_pmf,
@@ -243,20 +245,6 @@ def _score_laws(instance: Instance, resample: int, length: int):
     return n * low, high - low, np.full(instance.k, n), q
 
 
-def _group_rows(columns: np.ndarray):
-    """The first index, group and count of each distinct row of
-    `columns.T`, groups in lexicographic row order: what
-    `np.unique(columns.T, axis=0, return_index=True, return_inverse=True,
-    return_counts=True)` returns after its values, from one stable lexsort."""
-    order = np.lexsort(columns[::-1])
-    ordered = columns[:, order]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
-    group = np.empty(order.size, dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    return order[starts], group, np.diff(np.append(np.flatnonzero(starts), order.size))
-
-
 def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     """Exact pmf of the action selected after one epoch of `length` steps,
     marginal over that epoch's scores and the selection noise.
@@ -310,11 +298,16 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     if (np.any(np.abs(step[lattice] - unit) > LATTICE_RTOL * unit)
             or np.any(np.abs(whole - np.round(whole)) > LATTICE_ATOL_STEPS)):
         return None
-    # The window runs from 61 noise scales below the best top to 45 above
-    # the lowest score (`_lattice_hazard_pmf`), and each law's sums over it
-    # also span the widest support.
+    # The window runs from the lower cut, at most 1 - LOG_CUT noise scales
+    # below the best top, to PRUNE_SCALES above the lowest score, with 4
+    # scales to spare (`_lattice_hazard_pmf`), and each law's sums over it
+    # also span the widest support. Relative to the best top 0, the Laplace
+    # tangent root is at least LOG_CUT + log 2, the Gumbel root at least
+    # -log 60 and the Exponential cut at least 0, and Newton steps only
+    # raise the cut, up to rounding (`_lower_cut`).
     spread = (centre + radius)[near].max() - (centre - radius)[near].min()
-    width = (spread + 110.0 * spec.scale()) / unit + 2.0 * radius[near].max() / unit + 4.0
+    scales = 1.0 - LOG_CUT + PRUNE_SCALES + 4.0
+    width = (spread + scales * spec.scale()) / unit + 2.0 * radius[near].max() / unit + 4.0
     split = math.ceil(unit / spec.scale()) if spec.noise is not NoiseKind.NONE else 1
     if copies.size * width * split > PMF_MAX_VALUES:
         return None

@@ -26,12 +26,12 @@ SELECT_BLOCK_VALUES = 1 << 16
 
 # selection_pmf under Laplace and Exponential noise, in noise-scale units. An
 # action g > PRUNE_SCALES scales behind the best gets p = 0 (its p is at most
-# the two-action tail e^-g (1 + g/2) / 2 < 1e-18). Below the lower cut every
-# action's integrand is under e^LOG_CUT times its density; the CUT_ACTIONS
-# smallest gaps certify the cut. Panels of GL_ORDER-point Gauss-Legendre are
-# one scale wide for UNIT_PANELS scales above the cut, then WIDE_PANEL scales
-# wide, up to the tail start y0 >= 0; above y0 the integrand is a polynomial
-# in t = e^-y, integrated by one TAIL_ORDER-point rule in t.
+# the two-action tail e^-g (1 + g/2) / 2 < 1e-18). Below the lower cut
+# (`_lower_cut`) every action's integrand is under e^LOG_CUT times its
+# density. Panels of GL_ORDER-point Gauss-Legendre are one scale wide for
+# UNIT_PANELS scales above the cut, then WIDE_PANEL scales wide, up to the
+# tail start y0 >= 0; above y0 the integrand is a polynomial in t = e^-y,
+# integrated by one TAIL_ORDER-point rule in t.
 #
 # TAIL_ORDER is certified by the Bernstein-ellipse bound for Gauss quadrature
 # (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3, which
@@ -47,7 +47,6 @@ SELECT_BLOCK_VALUES = 1 << 16
 # m = 6 no better than 3.8e-15.
 PRUNE_SCALES = 45.0
 LOG_CUT = -60.0
-CUT_ACTIONS = 256
 GL_ORDER = 12
 TAIL_ORDER = 7
 UNIT_PANELS = 8
@@ -113,16 +112,31 @@ def select_batch(scores: np.ndarray, spec: MechanismSpec, rng: RngStream) -> np.
     return picks
 
 
+def _group_rows(columns: np.ndarray):
+    """The first index, group and count of each distinct row of
+    `columns.T`, groups in lexicographic row order: what
+    `np.unique(columns.T, axis=0, return_index=True, return_inverse=True,
+    return_counts=True)` returns after its values, from one stable lexsort."""
+    order = np.lexsort(columns[::-1])
+    ordered = columns[:, order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group, np.bincount(group)
+
+
 def selection_pmf(scores: np.ndarray, spec: MechanismSpec) -> np.ndarray:
     """Exact selection pmf of report-noisy-max on one score vector, any K.
 
     Gumbel noise gives the softmax, `log_gumbel_selection_pmf`; no noise
     splits the tie set evenly; Laplace and Exponential noise integrate
-    `_hazard_pmf` by Gauss-Legendre quadrature, on one vector only. Its error
-    grows about linearly in K with the product over K factors: on two-level
-    scores, p_0 is within 5e-16, 3.1e-14, 1.2e-13 and 2.0e-12 of the
-    Exponential closed form at K = 16, 1024, 4096 and 2^16. The Gumbel and
-    noiseless pmfs work along the last axis, one pmf per row of a stack.
+    `_hazard_pmf` by Gauss-Legendre quadrature, on one vector only, each
+    distinct score once for all its copies. On two-level scores (one
+    action at 0 and K - 1 at L / 2048, eps = 1, L = 2^9 ... 2^23), p_0 is
+    within 3.3e-16, 8.9e-15, 5.3e-14 and 4.7e-13 of the Exponential closed
+    form at K = 16, 1024, 4096 and 2^16. The Gumbel and noiseless pmfs work
+    along the last axis, one pmf per row of a stack.
     """
     scores = np.asarray(scores, dtype=float)
     if spec.noise is NoiseKind.NONE:
@@ -133,7 +147,7 @@ def selection_pmf(scores: np.ndarray, spec: MechanismSpec) -> np.ndarray:
     if scores.ndim != 1:
         raise ValueError(f"one score vector only under {spec.noise.value} noise; "
                          f"rnm_pmf_oracle takes stacks (K <= {ORACLE_MAX_ACTIONS})")
-    return _hazard_pmf((scores - scores.min()) / spec.scale(), spec.noise)
+    return _hazard_pmf((scores - scores.min()) / spec.scale(), np.ones(scores.size), spec.noise)
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,36 +177,68 @@ def _panel_nodes(edges: np.ndarray):
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def _lower_cut(kind: NoiseKind, part: np.ndarray) -> float:
-    """The last point on a 4-scale, then 1/8-scale, grid where
-    b(y) = sum_i log F(y + part_i) is at most LOG_CUT, for sorted part >= 0.
+def _lower_cut(kind: NoiseKind, part: np.ndarray, copies: np.ndarray) -> float:
+    """The crossing of b(y) = sum_i copies_i log F(y + part_i) with LOG_CUT,
+    less a rounding margin, so that b <= LOG_CUT there, for sorted parts
+    part >= 0 with copies_i copies each. A part below 0, as a lattice top
+    can round to, is taken as 0, which only raises b and so keeps the cut
+    at or below the crossing.
 
     b rises with y, and callers choose part so that b bounds the integrand
-    below the cut. A law with no mass below 0 starts at 0: callers shift so
-    that some factor F(y + 0) is 0, and so every integrand, below 0.
+    below the cut. Every F here is log-concave (Bagnoli and Bergstrom 2005),
+    so b is concave and lies below each of its tangents: a Newton step
+    towards LOG_CUT, from any point, lands where b <= LOG_CUT, and from such
+    a point it rises towards the crossing. The steps start at the largest
+    root of a bound on b and stop once a step is within rounding. Gumbel's
+    b = -e^-y sum_i copies_i e^-part_i is its own bound. A law with mass
+    d e^z below 0 has log F(z) <= log d + z everywhere, so over the k
+    smallest parts b(y) <= k log d + k y + sum_{i<k} part_i, whose root is
+    y_k. Exponential noise, which has none, has log F(z) <= -e^-z, so the
+    Gumbel root bounds it too, and F(z) <= z, so by Jensen's inequality
+    b(y) <= k log(y + m_k) for the mean m_k of the k smallest parts, whose
+    root is e^(LOG_CUT / k) - m_k. Its cut is 0 at the lowest, as callers
+    shift so that some factor F(y + 0), and so every integrand, is 0 below
+    0. The steps settle within 20 on every part set tried (up to 65,535
+    parts); the cap of 100 turns a NaN, which never settles, into an error.
     """
-    # b(lo) <= log F(lo + part[0]), which is -61 + log d for a law with mass
-    # d e^z below 0 and -61 for Gumbel. Every grid point has y + part_i above
-    # lo + part[0], or above 0 for a law starting at 0, so no F there is 0.
-    if kind is NoiseKind.GUMBEL:
-        lo = -part[0] - math.log(61.0)
-    else:
-        lo = -part[0] - 61.0 if PIECES[kind][0][1] else 0.0
-    for step in (4.0, 0.125):
-        y = lo + step * np.arange(1, 33)
-        b = np.log(noise_cdf(kind, y[:, None] + part, 1.0)).sum(axis=1)
-        lo += step * np.count_nonzero(b <= LOG_CUT)
-    return lo
+    part = np.maximum(part, 0.0)
+    counts, sums = np.cumsum(copies), np.cumsum(copies * part)
+    floor, y = -math.inf, math.log(copies @ np.exp(-part) / -LOG_CUT)
+    if kind in PIECES and PIECES[kind][0][1]:
+        y = ((LOG_CUT - sums) / counts).max() - math.log(PIECES[kind][0][1])
+    elif kind in PIECES:
+        floor, y = 0.0, max(0.0, y, (np.exp(LOG_CUT / counts) - sums / counts).max())
+    for _ in range(100):
+        z = y + part
+        cdf = noise_cdf(kind, z, 1.0)
+        log_cdf, rate = np.log(cdf), noise_pdf(kind, z, 1.0) / cdf
+        slope = copies @ rate
+        # Rounding z, F (Gumbel's e^-z = |log F| too), log F and the product
+        # puts each term c log F within 2 eps c (1 + |log F| + r |z|) of its
+        # value, for r = f / F and eps = 2^-52, and summing N terms adds
+        # N eps |b| / 2: b is off by at most
+        # E = (N + 4) eps sum_i c (1 + |log F| + r |z|). The last step, from
+        # where |LOG_CUT - b| <= E, lands where b <= LOG_CUT + E, up to E
+        # times the slope's rounding, and b falls by at least 2 E over the
+        # two margins E / b' below it (concavity: b' rises as y falls).
+        # eps |y| covers rounding y itself.
+        err = (part.size + 4) * copies @ (1.0 - log_cdf + rate * np.abs(z)) / slope
+        margin = 2.0 ** -52 * (err + abs(y))
+        step = (LOG_CUT - copies @ log_cdf) / slope
+        y += step
+        if step <= margin:
+            return max(floor, y - 2.0 * margin)
+    raise ArithmeticError(f"no lower cut found for parts {part} with copies {copies}")
 
 
-def _quadrature_nodes(kind: NoiseKind, g: np.ndarray):
-    """Gauss-Legendre nodes and weights on [`_lower_cut`, inf) for gaps
-    g >= 0 with min g = 0.
+def _quadrature_nodes(kind: NoiseKind, g: np.ndarray, copies: np.ndarray):
+    """Gauss-Legendre nodes and weights on [`_lower_cut`, inf) for sorted
+    gaps g >= 0 with g[0] = 0, copies[i] actions at g[i].
 
-    The cut bounds b(y) over the CUT_ACTIONS + 1 smallest g less the
-    smallest. b then bounds log prod_{i != j} F(y + g_i) from above for
-    every j, so below the cut each integrand is under e^LOG_CUT f(y + g_j).
-    Panels run up to y0 = max(0, cut, log(|d| sum_i tau_i)), for tau = e^-g
+    The cut bounds b(y) over every gap but one copy of the smallest. b then
+    bounds log prod_{i != j} F(y + g_i) from above for every action j, so
+    below the cut each integrand is under e^LOG_CUT f(y + g_j). Panels run
+    up to y0 = max(0, cut, log(|d| sum_i copies_i tau_i)), for tau = e^-g
     and the `PIECES` d above 0: one scale wide for UNIT_PANELS scales above
     the cut, then WIDE_PANEL scales wide. A law with mass below 0 has a kink
     at each y = -g_i <= 0, so its panels are split there; one without has
@@ -201,10 +247,11 @@ def _quadrature_nodes(kind: NoiseKind, g: np.ndarray):
     tail is the integral of a polynomial over t in [0, e^-y0]: one
     TAIL_ORDER-point rule in t, mapped back as nodes y = -log t with weights
     w_t / t (`_tail_rule`), to the bound given at TAIL_ORDER
-    (S = |d| sum_i tau_i e^-y0 <= 1).
+    (S = |d| sum_i copies_i tau_i e^-y0 <= 1).
     """
-    lo = _lower_cut(kind, np.sort(g)[1:CUT_ACTIONS + 1])
-    top = max(0.0, lo, math.log(abs(PIECES[kind][1][1]) * np.exp(-g).sum()))
+    rest = np.concatenate([[copies[0] - 1], copies[1:]])
+    lo = _lower_cut(kind, g[rest > 0], rest[rest > 0])
+    top = max(0.0, lo, math.log(abs(PIECES[kind][1][1]) * (copies @ np.exp(-g))))
     unit = lo + np.arange(UNIT_PANELS + 1.0)
     edges = np.concatenate([unit[unit < top],
                             np.arange(unit[-1] + WIDE_PANEL, top, WIDE_PANEL),
@@ -216,31 +263,37 @@ def _quadrature_nodes(kind: NoiseKind, g: np.ndarray):
     return np.concatenate([y, top + offsets]), np.concatenate([w, weights])
 
 
-def _hazard_pmf(g: np.ndarray, kind: NoiseKind) -> np.ndarray:
-    """p_j = int f(y + g_j) prod_{i != j} F(y + g_i) dy for unit-scale Laplace
-    or Exponential noise and gaps g = (G - min G) / beta, every j at once.
+def _hazard_pmf(g: np.ndarray, copies: np.ndarray, kind: NoiseKind) -> np.ndarray:
+    """p_j = int f(y + g_j) prod_{i != j} F(y + g_i) dy for unit-scale noise,
+    for each of the copies[j] actions at gap g_j, every j at once: gaps
+    g = (G - min G) / beta in any order. Gumbel's is the softmax
+    e^-g_j / sum_i copies_i e^-g_i.
 
-    At each Gauss-Legendre node the product over the other actions is W / F_j
-    (`_add_exclusive_products`), a block of (kept actions, nodes) at a time,
-    with the node weights folded into f. F and f are read off t = e^-z for
-    z = y + g: F = 1 + d t and f = -d t at z >= 0, and F = f = d' / t below
-    0, for the `PIECES` d above 0 and d' below. The nodes
-    (`_quadrature_nodes`) are y-panels up to y0 = max(0, cut,
-    log(|d| sum_i e^-g_i)) and, above y0, where no z is below 0, one
-    TAIL_ORDER-point rule in e^-y, on which each p_j's tail is a polynomial;
-    that rule errs by at most 1.4e-18 per entry.
+    Under Laplace and Exponential noise, a gap above PRUNE_SCALES gets
+    p = 0, and when one action is left it gets 1. The kept gaps are sorted
+    and grouped once (`_group_rows`), and each distinct gap is integrated
+    once for all its copies. At each Gauss-Legendre node the product over
+    the other actions is W / F_j (`_add_exclusive_products`), a block of
+    (distinct gaps, nodes) at a time, with the node weights folded into f.
+    F and f are read off t = e^-z for z = y + g: F = 1 + d t and f = -d t
+    at z >= 0, and F = f = d' / t below 0, for the `PIECES` d above 0 and
+    d' below. The nodes (`_quadrature_nodes`) are y-panels up to
+    y0 = max(0, cut, log(|d| sum_i copies_i e^-g_i)) and, above y0, where
+    no z is below 0, one TAIL_ORDER-point rule in e^-y, on which each p_j's
+    tail is a polynomial; that rule errs by at most 1.4e-18 per entry.
     """
-    p = np.zeros(g.size)
+    if kind is NoiseKind.GUMBEL:
+        return np.exp(-g) / (copies @ np.exp(-g))
     keep = np.flatnonzero(g <= PRUNE_SCALES)
-    if keep.size == 1:
-        p[keep] = 1.0
-        return p
+    if keep.size == 1 and copies[keep[0]] == 1:
+        return (g <= PRUNE_SCALES).astype(float)
+    first, group, _ = _group_rows(g[keep][None])
+    gaps, counts = g[keep][first], np.bincount(group, copies[keep])
+    p = np.zeros(gaps.size)
     (_, d_lo), (_, d_hi) = PIECES[kind]
-    gk = g[keep]
-    y, w = _quadrature_nodes(kind, gk)
-    exp_g = np.exp(-gk)
-    ones = np.ones(keep.size)
-    cols = max(1, SELECT_BLOCK_VALUES // keep.size)
+    y, w = _quadrature_nodes(kind, gaps, counts)
+    exp_g = np.exp(-gaps)
+    cols = max(1, SELECT_BLOCK_VALUES // gaps.size)
     for lo in range(0, y.size, cols):
         t = np.multiply.outer(exp_g, np.exp(-y[lo:lo + cols]))
         below = t > 1.0
@@ -249,8 +302,9 @@ def _hazard_pmf(g: np.ndarray, kind: NoiseKind) -> np.ndarray:
         pdf = np.multiply(t, -d_hi, out=t)
         pdf[below] = cdf[below]
         pdf *= w[lo:lo + cols]
-        _add_exclusive_products(p, keep, 1.0, pdf, cdf, ones)
-    return p
+        _add_exclusive_products(p, slice(None), 1.0, pdf, cdf, counts)
+    # Each kept action gets its group's p, and every other action 0.
+    return np.bincount(keep, p[group], g.size)
 
 
 def lattice_selection_pmf(lows: np.ndarray, pmfs: np.ndarray, sizes: np.ndarray, step: float,
@@ -331,8 +385,7 @@ def _add_exclusive_products(p, laws, weight, f, cdf, copies) -> None:
     W = prod_i F_i^copies_i. F is floored at 1e-300 in place, so that f / F
     is finite; where the floor acts, f_j and W are negligible or 0.
     """
-    np.maximum(cdf, 1e-300, out=cdf)
-    joint = np.prod(cdf, axis=0)
+    joint = np.prod(np.maximum(cdf, 1e-300, out=cdf), axis=0)
     shared = copies > 1
     if shared.any():
         joint *= np.prod(cdf[shared] ** (copies[shared, None] - 1), axis=0)
@@ -469,26 +522,24 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     plus the two-action tail at gap PRUNE_SCALES, as in `_hazard_pmf`. The
     domain ends at PRUNE_SCALES - min t, above which no Y_j lies with
     probability over 2 e^-PRUNE_SCALES. Below the lower cut c the mass lost
-    is at most P(max_i Y_i <= c) = W(c) <= prod_i F(c + top_i), and
-    `_lower_cut` puts the log of that bound at LOG_CUT.
+    is at most P(max_i Y_i <= c) = W(c) <= prod_i F(c + top_i)^copies_i,
+    and `_lower_cut` puts the log of that bound at LOG_CUT, with tops that
+    round below 0 taken as 0. When one action is left, or every kept law is
+    a point, `_hazard_pmf` of the kept tops gives the pmf.
     """
     kind = spec.noise
-    tail = math.exp(-PRUNE_SCALES)
     tops = g + h * (sizes - 1)
-    floors = g + h * (pmfs.cumsum(axis=1) <= tail).sum(axis=1)
+    floors = g + h * (pmfs.cumsum(axis=1) <= math.exp(-PRUNE_SCALES)).sum(axis=1)
     p = np.zeros(sizes.size)
     keep = np.flatnonzero(floors <= PRUNE_SCALES)
     lattice = keep[sizes[keep] > 1]
     points = keep[sizes[keep] == 1]
-    if copies[keep].sum() == 1:
-        p[keep] = 1.0
+    if lattice.size == 0 or copies[keep].sum() == 1:
+        # One action is left, or only points, whose tops are their gaps.
+        p[keep] = _hazard_pmf(tops[keep], copies[keep], kind)
         return p
-    if lattice.size == 0:
-        # The kept laws are points: the pmf of their score row, copies included.
-        row = selection_pmf(np.repeat(g[keep] * spec.scale(), copies[keep]), spec)
-        p[keep] = row[np.cumsum(copies[keep]) - 1]
-        return p
-    y_lo = _lower_cut(kind, np.sort(np.repeat(tops[keep], copies[keep]))[:CUT_ACTIONS])
+    order = keep[np.argsort(tops[keep])]
+    y_lo = _lower_cut(kind, tops[order], copies[order])
     y_hi = PRUNE_SCALES - floors[keep].min()
     anchor = -g[lattice[0]]
     first = math.floor((y_lo - anchor) / h)

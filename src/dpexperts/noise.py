@@ -171,21 +171,12 @@ def noise_pdf(kind: NoiseKind, x, scale: float):
 def noise_cdf(kind: NoiseKind, x, scale: float):
     """A `PIECES` law's F is c + d e^z below 0, and F(0) + d expm1(-z) from 0
     on, which keeps full relative accuracy where Exponential's F is near 0.
-    Both sides take e^-|z|, which never overflows. Each side is evaluated
-    only where it applies: the whole input when it all lies on one side
-    (a scalar always does), else the values on each side gathered apart."""
+    Both sides take e^-|z|, which never overflows, so both are evaluated on
+    the whole input and `np.where` picks each value's side; a scalar gives a
+    scalar."""
     if kind is NoiseKind.GUMBEL:
         return gumbel_cdf(x, scale)
     (c_lo, d_lo), (c_hi, d_hi) = PIECES[kind]
     z = np.asarray(x, float) / scale
     tail = -np.abs(z)
-    below = z < 0.0
-    if below.all():
-        return c_lo + d_lo * np.exp(tail)
-    if not below.any():
-        return (c_hi + d_hi) + d_hi * np.expm1(tail)
-    above = ~below
-    cdf = np.empty_like(tail)
-    cdf[below] = c_lo + d_lo * np.exp(tail[below])
-    cdf[above] = (c_hi + d_hi) + d_hi * np.expm1(tail[above])
-    return cdf
+    return np.where(z < 0.0, c_lo + d_lo * np.exp(tail), (c_hi + d_hi) + d_hi * np.expm1(tail))[()]

@@ -64,7 +64,7 @@ def test_criterion_01_exact_vs_monte_carlo():
 # laws reversed, fail Bernoulli B=1 cells.
 PMF_MUTANTS = {
     "log_gumbel_selection_pmf": (lambda f: lambda scores, eps: f(scores, 2.0 * eps), 4, 0),
-    "_hazard_pmf": (lambda f: lambda g, kind: f(2.0 * g, kind), 6, 0),
+    "_hazard_pmf": (lambda f: lambda g, copies, kind: f(2.0 * g, copies, kind), 6, 0),
     "_lattice_hazard_pmf": (lambda f: lambda g, pmfs, sizes, h, copies, spec:
                             f(2.0 * g, pmfs, sizes, 2.0 * h, copies, spec), 3, 1),
     "_lattice_tie_pmf": (lambda f: lambda lows, pmfs, sizes, step, copies, best:

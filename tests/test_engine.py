@@ -491,7 +491,7 @@ class TestEpochSelectionPmf:
                             for c in choices])
         _, first, group, copies = np.unique(columns.T, axis=0, return_index=True,
                                             return_inverse=True, return_counts=True)
-        got = engine._group_rows(columns)
+        got = mechanism._group_rows(columns)
         for a, b in zip(got, (first, group.ravel(), copies)):
             assert np.array_equal(a, b)
 

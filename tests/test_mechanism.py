@@ -419,28 +419,58 @@ class TestTForms:
             assert np.all(got[want == 0.0] == 0.0)
             assert np.all(np.abs(got[want != 0.0] / want[want != 0.0] - 1.0) <= 1e-15)
 
-# (kind, part): one action at 0, 256 graded gaps, and a Gumbel grid 40
+# (kind, part): one action at 0, 256 graded gaps, 255 ties, 1023 graded
+# gaps (more than the 256 smallest that a grid search once read), three
+# ties 2 scales behind, where Exponential's b(0) is above LOG_CUT, a best
+# part just below 0, as a lattice law's top can round, and a Gumbel grid 40
 # scales wide, whose first factor starts near e^-61.
 LOWER_CUT_PARTS = [(kind, part) for kind in (*PIECES, NoiseKind.GUMBEL)
-                   for part in (np.zeros(1), 0.02 * np.arange(256))]
+                   for part in (np.zeros(1), 0.02 * np.arange(256), np.zeros(255),
+                                np.arange(1, 1024) / 2046, np.full(3, 2.0),
+                                np.array([-1e-9, 1.0]))]
 LOWER_CUT_PARTS.append((NoiseKind.GUMBEL, np.linspace(0.0, 40.0, 256)))
 
 
 class TestLowerCut:
     @pytest.mark.parametrize("kind, part", LOWER_CUT_PARTS)
-    def test_cut_is_the_last_grid_point_at_or_below_log_cut(self, kind, part):
-        # b(y) = sum_i log F(y + part_i) in mpmath: b(lo) <= LOG_CUT < b(lo + 1/8).
-        # A law with no mass below 0 may stay at its start of 0.
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_cut_is_within_rounding_below_the_crossing(self, kind, part, grouped):
+        # b(y) = sum_i log F(y + part_i) in mpmath: b(lo) <= LOG_CUT < b(lo + 1e-6),
+        # so a cut one noise scale low fails. The parts go in one by one, or
+        # as distinct values with their copies, as the kernels pass them.
+        # A law with no mass below 0 may stay at 0, where b can be above LOG_CUT.
+        values, copies = np.unique(part, return_counts=True) if grouped else (
+            part, np.ones(part.size, dtype=int))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            lo = mechanism._lower_cut(kind, part)
+            lo = mechanism._lower_cut(kind, values, copies)
         cdf, _ = _mp_unit_noise(kind)
         with mp.workdps(30):
             def b(y):
                 return mp.fsum(mp.log(cdf(mp.mpf(y) + mp.mpf(x))) for x in part)
             if not (kind is NoiseKind.EXPONENTIAL and lo == 0.0):
                 assert b(lo) <= mechanism.LOG_CUT
-            assert b(lo + 0.125) > mechanism.LOG_CUT
+            assert b(lo + 1e-6) > mechanism.LOG_CUT
+
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.GUMBEL])
+    def test_nan_part_raises(self, kind):
+        # Newton steps that never settle fail loudly instead of looping.
+        with pytest.raises(ArithmeticError):
+            mechanism._lower_cut(kind, np.array([0.0, np.nan]), np.ones(2, dtype=int))
+
+    def test_lattice_top_rounded_below_zero(self):
+        # Shifted by the best top near 2.7e8, the first law's top rounds to
+        # -6e-9 noise scales. Its cut takes that part as 0: taken as it is,
+        # the Exponential start e^-60 - part rounds to the part itself, where
+        # F(0) = 0 makes every Newton step NaN. Shifting the scores down by
+        # an exact integer first gives the same pmf.
+        spec = MechanismSpec(0, NoiseKind.EXPONENTIAL, 0.5)
+        lows = np.array([268996012.90000004, 268996013.3])
+        pmfs, sizes, copies = np.full((2, 40), 1.0 / 40), np.array([40, 40]), np.array([1, 1])
+        p = mechanism.lattice_selection_pmf(lows, pmfs, sizes, 0.4, copies, spec)
+        near = mechanism.lattice_selection_pmf(lows - 268996000.0, pmfs, sizes, 0.4, copies, spec)
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(p, near, rtol=0, atol=1e-12)
 
 
 def unit_log_cdf_pdf(z, kind: NoiseKind):
@@ -559,10 +589,50 @@ class TestSelectionPmf:
         scores[100] = scores.min() + 200.0
         pmf = selection_pmf(scores, MechanismSpec(0, kind, epsilon=1.0))
         assert abs(pmf.sum() - 1.0) <= 1e-11
-        assert pmf[17] == pytest.approx(pmf[230], rel=1e-14)
-        assert pmf[5] == pytest.approx(pmf[299], rel=1e-14)
+        assert pmf[17] == pmf[230]
+        assert pmf[5] == pmf[299]
         assert pmf[100] == 0.0
         assert pmf.min() >= 0.0
+
+    @pytest.mark.parametrize("k", [16, 1024, 4096, 1 << 16])
+    def test_two_level_rows_match_the_exponential_closed_form(self, k):
+        # One action at 0 and k - 1 at L / 2048 after epoch r (L = 2^(r-1)),
+        # eps = 1: with c = e^-g for the gap g = L / 4096 in noise scales,
+        # p_0 = int_0^1 (1 - c u)^(k-1) du = -expm1(k log1p(-c)) / (c k).
+        # The k - 1 tied actions are integrated once, so they share one p.
+        spec = MechanismSpec(0, NoiseKind.EXPONENTIAL, epsilon=1.0)
+        for r in range(10, 25):
+            length = 1 << (r - 1)
+            scores = np.full(k, length / 2048.0)
+            scores[0] = 0.0
+            pmf = selection_pmf(scores, spec)
+            with mp.workdps(50):
+                c = mp.exp(-mp.mpf(length) / 4096)
+                p0 = float(-mp.expm1(k * mp.log1p(-c)) / (c * k))
+            assert abs(pmf[0] - p0) <= 1e-12
+            assert np.all(pmf[1:] == pmf[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from([NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL]),
+           k=st.integers(2, 64), levels=st.integers(1, 6), spread=st.floats(0.0, 50.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_groups_match_their_repeated_rows(self, kind, k, levels, spread, seed):
+        # Gaps on at most `levels` values, so most rows have ties: the kernel
+        # on each distinct gap with its copies against the same kernel on
+        # every action one by one (a grouping that leaves each action its
+        # own group of 1), to 1e-15 absolute.
+        def one_by_one(columns):
+            order = np.argsort(columns[0], kind="stable")
+            group = np.empty(order.size, dtype=np.intp)
+            group[order] = np.arange(order.size)
+            return order, group, np.ones(order.size, dtype=int)
+
+        g = spread * np.random.default_rng(seed).integers(0, levels, k) / levels
+        spec = MechanismSpec(0, kind, epsilon=2.0)
+        with mock.patch.object(mechanism, "_group_rows", one_by_one):
+            repeated = selection_pmf(g, spec)
+        grouped = selection_pmf(g, spec)
+        assert np.abs(grouped - repeated).max() <= 1e-15
 
     @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL])
     @pytest.mark.parametrize("stack", [[[0.0, 0.0], [100.0, 100.0]], np.zeros((3, 3))])
@@ -576,15 +646,17 @@ class TestSelectionPmf:
         assert selection_pmf(np.array(stack)[0], spec) == pytest.approx([1.0 / k] * k, abs=1e-13)
 
 
-def _panel_rule_nodes(kind: NoiseKind, g: np.ndarray, wide: float):
+def _panel_rule_nodes(kind: NoiseKind, g: np.ndarray, copies: np.ndarray, wide: float):
     """The y-panel rule `_quadrature_nodes` used before its tail rule, kept
     as the reference: GL_ORDER-point panels from the lower cut up to
     PRUNE_SCALES, one scale wide for UNIT_PANELS scales and then `wide`,
     split at the kinks. It used wide = WIDE_PANEL; the reference takes 1, as
     a 3-scale panel starting at y = 0 errs by up to 1.4e-13
-    (`test_tail_rule_mends_a_wide_panel_at_zero`)."""
+    (`test_tail_rule_mends_a_wide_panel_at_zero`). Its cut takes every gap
+    but one copy of the smallest, one by one."""
     top = mechanism.PRUNE_SCALES
-    lo = mechanism._lower_cut(kind, np.sort(g)[1:mechanism.CUT_ACTIONS + 1])
+    rest = np.repeat(g, copies.astype(int))[1:]
+    lo = mechanism._lower_cut(kind, rest, np.ones(rest.size, dtype=int))
     unit = lo + np.arange(mechanism.UNIT_PANELS + 1.0)
     edges = np.concatenate([unit[unit < top], np.arange(unit[-1] + wide, top, wide), [top]])
     if PIECES[kind][0][1]:
@@ -595,8 +667,8 @@ def _panel_rule_nodes(kind: NoiseKind, g: np.ndarray, wide: float):
 def _panel_rule_pmf(g: np.ndarray, kind: NoiseKind, wide: float = 1.0) -> np.ndarray:
     """`_hazard_pmf`'s arithmetic on the nodes of `_panel_rule_nodes`."""
     with mock.patch.object(mechanism, "_quadrature_nodes",
-                           lambda kind, gk: _panel_rule_nodes(kind, gk, wide)):
-        return mechanism._hazard_pmf(g, kind)
+                           lambda kind, gk, copies: _panel_rule_nodes(kind, gk, copies, wide)):
+        return mechanism._hazard_pmf(g, np.ones(g.size), kind)
 
 
 def _tail_bound(m: int) -> float:
