@@ -93,9 +93,8 @@ def exact_regret_epochs(instance: Instance, spec: MechanismSpec, horizon: int) -
     for r, (pmf, length) in enumerate(zip(epoch_pmfs(instance, spec, horizon), lengths[1:]),
                                       start=1):
         if pmf is None:
-            raise OutOfRange(f"epoch {r} has no exact selection pmf: its scores share no "
-                             "single lattice, or its integration window, in lattice steps "
-                             "refined to one noise scale, is too wide")
+            raise OutOfRange(f"epoch {r} has no exact selection pmf: its scores share no single "
+                             "lattice, or a (laws x n) array of it would exceed 2^20 values")
         contributions.append(length * float((gaps * pmf).sum()))
     return contributions
 

@@ -30,15 +30,16 @@ class _UsageError(Exception):
     pass
 
 
-def _floats(text: str, option: str) -> List[float]:
+def _float(text: str, what: str) -> float:
+    # A short CSV row gives None for a missing field, which float() rejects
+    # with a TypeError.
     try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise _UsageError(f"{option}: bad numeric list {text!r}") from exc
-    bad = [v for v in vals if not math.isfinite(v)]
-    if bad:
-        raise _UsageError(f"{option}: {bad[0]} is not a finite number")
-    return vals
+        value = float(text)
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"{what}: bad number {text!r}") from exc
+    if not math.isfinite(value):
+        raise _UsageError(f"{what}: {value} is not a finite number")
+    return value
 
 
 def _ints(text: str, option: str) -> List[int]:
@@ -86,7 +87,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
     instances = _instances(args)
-    specs = _mechanism_specs(args, _floats(args.eps, "--eps"))
+    specs = _mechanism_specs(args, [_float(eps, "--eps") for eps in args.eps.split(",")])
     horizons = [_horizon(t) for t in _ints(args.T, "--T")]
     try:
         cells = sweep(instances, specs, horizons, args.trials, args.seed)
@@ -152,12 +153,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
     series: dict = {}
     try:
         for row in rows:
-            key_bits = [f"{c}={row[c]}" for c in ("instance", "B", "noise", "epsilon", "T")
-                        if c not in hidden]
-            key = " ".join(key_bits)
-            series.setdefault(key, []).append(
-                (float(row[axis_col]), float(row["regret_mean"])))
-    except (KeyError, ValueError) as exc:
+            key = " ".join(f"{c}={row[c]}" for c in ("instance", "B", "noise", "epsilon", "T")
+                           if c not in hidden)
+            point = (_float(row[c], f"malformed CSV {args.csv}: {c}")
+                     for c in (axis_col, "regret_mean"))
+            series.setdefault(key, []).append(tuple(point))
+    except KeyError as exc:
         raise _UsageError(f"malformed CSV {args.csv}: {exc}") from exc
     _write(args.out, line_chart(series, x_label=args.x))
     return EXIT_OK

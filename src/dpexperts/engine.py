@@ -6,9 +6,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import Instance, MechanismSpec, NoiseKind, OutOfRange, RunRecord
+from .core import Instance, MechanismSpec, OutOfRange, RunRecord
 from .mechanism import (
-    LOG_CUT,
+    PMF_MAX_VALUES,
     PRUNE_SCALES,
     TIE_RTOL,
     _group_rows,
@@ -119,13 +119,6 @@ BINOMIAL_BLOCK_VALUES = 1 << 15
 # fraction of a step.
 LATTICE_RTOL = 1e-12
 LATTICE_ATOL_STEPS = 1e-6
-
-# epoch_selection_pmf leaves an epoch to the sampler when its laws times its
-# window, in refined lattice steps, exceed this many values: the kernel then
-# holds a few arrays of that size, about 8 MB each. `lattice_selection_pmf`
-# splits a step h noise scales wide into ceil(h) steps, so a window of w
-# lattice steps holds w ceil(h) values.
-PMF_MAX_VALUES = 1 << 20
 
 
 def _binomial_pmf(n: int, p: float):
@@ -267,11 +260,10 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     when one is left), whatever their window.
 
     Returns None where the random scores share no single lattice (lattice
-    steps or offsets that differ, which only the Python API builds), and
-    where the laws times the integration window, in lattice steps refined to
-    at most one noise scale (ceil(h) per step h noise scales wide), would
-    exceed PMF_MAX_VALUES: supports many steps wide that overlap, noise many
-    steps wide, or steps many noise scales wide.
+    steps or offsets that differ, which only the Python API builds), where
+    the (laws, window) matrix, windows of that Hoeffding radius either side
+    of n q, would hold more than PMF_MAX_VALUES values, and where
+    `lattice_selection_pmf` refuses one of its arrays.
     """
     base, step, n, q = _score_laws(instance, spec.resample, length)
     random = (q > 0.0) & (q < 1.0)
@@ -284,40 +276,28 @@ def epoch_selection_pmf(instance: Instance, spec: MechanismSpec, length: int):
     best = (centre + radius).min()
     near = np.flatnonzero(
         centre - radius <= best + PRUNE_SCALES * spec.scale() + TIE_RTOL * (1.0 + abs(best)))
-    pmf = np.zeros(instance.k)
+    # Each action near the best gets its pmf entry, and every other action 0.
     first, group, copies = _group_rows(np.stack([base[near], step[near], n[near], q[near]]))
     if copies.size == 1:
-        pmf[near] = 1.0 / near.size
-        return pmf
+        return np.bincount(near, minlength=instance.k) / near.size
     lattice = near[random[near]]
     if lattice.size == 0:
-        pmf[near] = selection_pmf(base[near], spec)
-        return pmf
+        return np.bincount(near, selection_pmf(base[near], spec), instance.k)
+    # The laws share one lattice, and their (laws, window) matrix, each row
+    # within the Hoeffding radius of its mean, fits in PMF_MAX_VALUES; a
+    # point has q = 0 and step 0, so its row is [1, 0, ...] and its lowest
+    # score its base.
     unit = step[lattice[0]]
     whole = (base[lattice] - base[lattice[0]]) / unit
     if (np.any(np.abs(step[lattice] - unit) > LATTICE_RTOL * unit)
-            or np.any(np.abs(whole - np.round(whole)) > LATTICE_ATOL_STEPS)):
+            or np.any(np.abs(whole - np.round(whole)) > LATTICE_ATOL_STEPS)
+            or copies.size * (2.0 * radius[near].max() / unit + 1.0) > PMF_MAX_VALUES):
         return None
-    # The window runs from the lower cut, at most 1 - LOG_CUT noise scales
-    # below the best top, to PRUNE_SCALES above the lowest score, with 4
-    # scales to spare (`_lattice_hazard_pmf`), and each law's sums over it
-    # also span the widest support. Relative to the best top 0, the Laplace
-    # tangent root is at least LOG_CUT + log 2, the Gumbel root at least
-    # -log 60 and the Exponential cut at least 0, and Newton steps only
-    # raise the cut, up to rounding (`_lower_cut`).
-    spread = (centre + radius)[near].max() - (centre - radius)[near].min()
-    scales = 1.0 - LOG_CUT + PRUNE_SCALES + 4.0
-    width = (spread + scales * spec.scale()) / unit + 2.0 * radius[near].max() / unit + 4.0
-    split = math.ceil(unit / spec.scale()) if spec.noise is not NoiseKind.NONE else 1
-    if copies.size * width * split > PMF_MAX_VALUES:
-        return None
-    # One (laws, window) matrix; a point has q = 0 and step 0, so its row is
-    # [1, 0, ...] and its lowest score its base.
     laws = near[first]
     low, pmfs, sizes = _binomial_pmfs(int(n[lattice[0]]), q[laws].tolist())
     lows = base[laws] + step[laws] * low
-    pmf[near] = lattice_selection_pmf(lows, pmfs, sizes, unit, copies, spec)[group]
-    return pmf
+    selected = lattice_selection_pmf(lows, pmfs, sizes, unit, copies, spec)
+    return None if selected is None else np.bincount(near, selected[group], instance.k)
 
 
 def epoch_pmfs(instance: Instance, spec: MechanismSpec, horizon: int) -> list:
@@ -350,7 +330,7 @@ def run_batch(instance: Instance, spec: MechanismSpec, horizon: int, trials: int
     picks and the regrets are bitwise those of drawing the uniforms.
 
     Fallback: where `epoch_selection_pmf` returns None (scores on no single
-    lattice, or an integration window over PMF_MAX_VALUES), the epoch
+    lattice, or a (laws, n) array over PMF_MAX_VALUES values), the epoch
     samples its (trials, K) scores with `sample_scores` and selects with
     `select_batch`; an epoch of 2^63 steps or more, whose counts overflow the
     sampler's int64, raises OutOfRange naming it.

@@ -24,6 +24,13 @@ TIE_RTOL = 1e-9
 # chunked at the same size.
 SELECT_BLOCK_VALUES = 1 << 16
 
+# `lattice_selection_pmf` returns None rather than make a (laws, n) array of
+# more than this many values: the refined pmf matrix, laws times periods, or
+# laws times tie classes. The kernel then holds a few arrays of that size,
+# about 8 MB each. `engine.epoch_selection_pmf` counts its binomial matrix
+# the same way.
+PMF_MAX_VALUES = 1 << 20
+
 # selection_pmf under Laplace and Exponential noise, in noise-scale units. An
 # action g > PRUNE_SCALES scales behind the best gets p = 0 (its p is at most
 # the two-action tail e^-g (1 + g/2) / 2 < 1e-18). Below the lower cut
@@ -308,7 +315,7 @@ def _hazard_pmf(g: np.ndarray, copies: np.ndarray, kind: NoiseKind) -> np.ndarra
 
 
 def lattice_selection_pmf(lows: np.ndarray, pmfs: np.ndarray, sizes: np.ndarray, step: float,
-                          copies: np.ndarray, spec: MechanismSpec) -> np.ndarray:
+                          copies: np.ndarray, spec: MechanismSpec) -> np.ndarray | None:
     """Exact selection pmf of report-noisy-max on independent random scores,
     marginal over the scores and the noise.
 
@@ -323,7 +330,9 @@ def lattice_selection_pmf(lows: np.ndarray, pmfs: np.ndarray, sizes: np.ndarray,
     Y_i = -S_i + Q_i is integrated on lattice-aligned periods
     (`_lattice_hazard_pmf`). A step h > 1 noise scales wide is first split
     into ceil(h) equal steps, with zeros between a row's entries, so the
-    kernel integrates steps at most one noise scale wide.
+    kernel integrates steps at most one noise scale wide. Returns None
+    where this refined matrix or a kernel's (laws, n) arrays would hold more
+    than PMF_MAX_VALUES values.
     """
     lows = np.asarray(lows, dtype=float)
     best = (lows + step * (sizes - 1)).min()
@@ -332,7 +341,10 @@ def lattice_selection_pmf(lows: np.ndarray, pmfs: np.ndarray, sizes: np.ndarray,
     beta = spec.scale()
     split = math.ceil(step / beta)
     if split > 1:
-        fine = np.zeros((sizes.size, (pmfs.shape[1] - 1) * split + 1))
+        width = (pmfs.shape[1] - 1) * split + 1
+        if sizes.size * width > PMF_MAX_VALUES:
+            return None
+        fine = np.zeros((sizes.size, width))
         fine[:, ::split] = pmfs
         pmfs, sizes, step = fine, (sizes - 1) * split + 1, step / split
     # Scores are shift-invariant; shifting by the best top of support keeps
@@ -340,7 +352,7 @@ def lattice_selection_pmf(lows: np.ndarray, pmfs: np.ndarray, sizes: np.ndarray,
     return _lattice_hazard_pmf((lows - best) / beta, pmfs, sizes, step / beta, copies, spec)
 
 
-def _lattice_tie_pmf(lows, pmfs, sizes, step, copies, best) -> np.ndarray:
+def _lattice_tie_pmf(lows, pmfs, sizes, step, copies, best) -> np.ndarray | None:
     """p_j = sum_s P(S_j = s) int_0^1 prod_{i != j} (P(S_i > s) + z P(S_i = s)) dz.
 
     Given S_j = s, j wins with probability E[1/(1 + N)], N the number of
@@ -361,6 +373,8 @@ def _lattice_tie_pmf(lows, pmfs, sizes, step, copies, best) -> np.ndarray:
     support = np.unique(np.concatenate([v[v <= top] for v in values]))
     starts = support[np.concatenate(
         [[True], np.diff(support) > TIE_RTOL * (1.0 + np.abs(support[:-1]))])]
+    if keep.size * starts.size > PMF_MAX_VALUES:
+        return None
     eq = np.zeros((keep.size, starts.size))
     above = np.zeros((keep.size, 1))
     for row, (i, v) in enumerate(zip(keep, values)):
@@ -474,7 +488,7 @@ def _tail_sums(pmfs: np.ndarray, lowest: np.ndarray, periods: int, h: float, low
     return mass, upper, down
 
 
-def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
+def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray | None:
     """p_j = int f_{Y_j}(y) prod_{i != j} F_{Y_i}(y) dy in noise-scale units:
     lowest scores g (top of support min 0), lattice step h <= 1, and law i
     the first sizes[i] entries of row i of the (laws, window) matrix pmfs.
@@ -544,6 +558,8 @@ def _lattice_hazard_pmf(g, pmfs, sizes, h, copies, spec) -> np.ndarray:
     anchor = -g[lattice[0]]
     first = math.floor((y_lo - anchor) / h)
     periods = math.ceil((y_hi - anchor) / h) - first
+    if keep.size * periods > PMF_MAX_VALUES:
+        return None
     # Law i's kinks y = -(g_i + h k) are anchor - h (shift_i + k).
     shift = np.rint((g[lattice] + anchor) / h).astype(int)
     span = sizes[lattice]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from typing import Dict, List, Sequence, Tuple
+from xml.sax.saxutils import escape
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 180, 30, 50
@@ -92,7 +93,7 @@ def line_chart(series: Dict[str, Sequence[Tuple[float, float]]], x_label: str) -
         parts.append(
             f'<g class="legend-entry"><line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
             f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
-            f'<text x="{lx + 28}" y="{ly}" font-size="11">{name}</text></g>'
+            f'<text x="{lx + 28}" y="{ly}" font-size="11">{escape(name)}</text></g>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

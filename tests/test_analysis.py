@@ -17,7 +17,7 @@ from dpexperts.analysis import (
     tail_bound,
 )
 from dpexperts.core import MechanismSpec, NoiseKind, OutOfRange
-from dpexperts.engine import InvalidHorizon, epoch_lengths
+from dpexperts.engine import InvalidHorizon, epoch_lengths, epoch_selection_pmf
 from dpexperts.harness import selection_frequency
 from dpexperts.instances import (
     bernoulli_instance,
@@ -93,11 +93,12 @@ class TestExactCalculator:
             _det([0.0, 1.0], GUMBEL_1, 0)
 
     def test_epoch_without_a_pmf_is_out_of_range(self):
-        # 64 overlapping Binomial laws under noise 200 lattice steps wide:
-        # epoch 1's integration window exceeds PMF_MAX_VALUES.
+        # 64 overlapping Binomial laws under noise 2000 lattice steps wide:
+        # epoch 1's lattice kernel would hold 64 laws times its periods, 5.8M
+        # values, over PMF_MAX_VALUES.
         inst = bernoulli_instance(0.5 + 0.001 * np.arange(64))
         with pytest.raises(OutOfRange, match="epoch 1 "):
-            exact_regret_epochs(inst, MechanismSpec(1, NoiseKind.LAPLACE, epsilon=0.01), 7)
+            exact_regret_epochs(inst, MechanismSpec(1, NoiseKind.LAPLACE, epsilon=0.001), 7)
 
     @pytest.mark.parametrize("spec_text,resample,kind,actions", [
         ("paper-example", 0, NoiseKind.LAPLACE, "paper"),
@@ -170,6 +171,20 @@ class TestExactCalculator:
         mean, stderr = _selection_frequency_regret(inst, spec, 20, 5_000, 64)
         exact = math.fsum(exact_regret_epochs(inst, spec, (1 << 20) - 1))
         assert abs(mean - exact) <= 3.0 * stderr
+
+    @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL,
+                                      NoiseKind.GUMBEL])
+    def test_graded_1024_epoch_10_matches_selection_frequency(self, kind):
+        # Graded K=1024 at B=1: at epoch 10 (L = 512) the lattice kernel's
+        # arrays are near their largest, about 2.9e5 values.
+        inst = parse_instance_spec(
+            "bern:" + ",".join(f"{0.2 + 0.6 * j / 1023:.6f}" for j in range(1024)))
+        spec = _spec(1, kind, 1.0)
+        pmf = epoch_selection_pmf(inst, spec, 512)
+        freq = selection_frequency(inst, spec, 10, 5_000, 1024)
+        picked = float(freq @ inst.gaps)
+        stderr = math.sqrt((float(freq @ inst.gaps ** 2) - picked ** 2) / 5_000)
+        assert abs(picked - float(pmf @ inst.gaps)) <= 3.0 * stderr
 
 
 def _selection_frequency_regret(inst, spec, big_r, trials, seed):

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+from xml.etree import ElementTree
 
 import pytest
 
@@ -142,13 +143,13 @@ class TestExact:
     @pytest.mark.parametrize("command", ["exact", "run"])
     @pytest.mark.parametrize("setting", [["--B", "1"], ["--B", "0", "--noise", "none"]])
     def test_tied_means_past_2_to_the_63(self, command, setting, capsys):
-        # From epoch 32 on both tied actions survive pruning and their window
-        # is over PMF_MAX_VALUES; by exchangeability each is picked w.p. 1/2.
+        # Both tied actions survive pruning and share one law, so by
+        # exchangeability each is picked w.p. 1/2 and no binomial pmf is built.
         argv = [command, "--instance", "bern:0.3,0.3", *setting, "--T", str((1 << 65) - 1)]
         assert main(argv + (["--trials", "20"] if command == "run" else [])) == EXIT_OK
 
     def test_sampled_epoch_past_2_to_the_63_is_usage_error(self, capsys):
-        # Close means: from epoch 30 on the epochs are sampled, and epoch 64's
+        # Close means: from epoch 32 on the epochs are sampled, and epoch 64's
         # 2^63 steps overflow the sampler's int64 counts. The message names
         # the instance that failed, not the one before it.
         argv = ["run", "--instance", "bern:0.2,0.5", "--instance", "bern:0.3,0.3000000001",
@@ -158,7 +159,7 @@ class TestExact:
 
     def test_epoch_without_a_pmf_is_usage_error(self, capsys):
         argv = ["exact", "--instance", BERN_64, "--B", "1", "--noise", "laplace",
-                "--eps", "0.01", "--T", "7"]
+                "--eps", "0.001", "--T", "7"]
         assert main(argv) == EXIT_USAGE
         assert "epoch 1 " in capsys.readouterr().err
 
@@ -239,6 +240,36 @@ class TestPlot:
         assert main(["plot", str(csv_path), "--x", "K", "--out", str(svg_path)]) == EXIT_OK
         polylines = re.findall(r'<polyline [^>]*points="([^"]*)"', svg_path.read_text())
         assert [len(points.split()) for points in polylines] == [3]
+
+    def test_series_names_are_escaped(self, tmp_path):
+        csv_path, svg_path = tmp_path / "sweep.csv", tmp_path / "plot.svg"
+        self._write_sweep(csv_path)
+        csv_path.write_text(csv_path.read_text().replace("det:0,1", "a&b<c"))
+        assert main(["plot", str(csv_path), "--x", "T", "--out", str(svg_path)]) == EXIT_OK
+        legend = ElementTree.parse(svg_path).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert any(text.text.startswith("instance=a&b<c ") for text in legend)
+
+    @pytest.mark.parametrize("column,value", [("regret_mean", "nan"), ("regret_mean", "inf"),
+                                              ("T", "nan"), ("T", "inf")])
+    def test_non_finite_value_is_malformed_csv(self, column, value, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        self._write_sweep(csv_path)
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[1][column] = value
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert main(["plot", str(csv_path), "--out", str(tmp_path / "o.svg")]) == EXIT_USAGE
+        assert (f"malformed CSV {csv_path}: {column}: {value} is not a finite number"
+                in capsys.readouterr().err)
+
+    def test_short_row_is_malformed_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        csv_path.write_text(CSV_HEADER + "\n0,det:0,1,2,0,gumbel,1.0,3\n")
+        assert main(["plot", str(csv_path), "--out", str(tmp_path / "o.svg")]) == EXIT_USAGE
+        assert f"malformed CSV {csv_path}: regret_mean: bad number None" in capsys.readouterr().err
 
     def test_missing_csv(self, tmp_path, capsys):
         assert main(["plot", str(tmp_path / "none.csv"), "--out",

@@ -505,33 +505,70 @@ class TestEpochSelectionPmf:
         assert epoch_selection_pmf(offsets, spec, 3) is None
         assert epoch_selection_pmf(offsets, spec, 4) is not None
 
-    def test_noise_many_steps_wide_takes_the_fallback(self):
-        # 64 overlapping laws under noise 200 lattice steps wide: the window
-        # times the laws exceeds PMF_MAX_VALUES.
+    def test_noise_many_steps_wide_takes_the_fallback(self, monkeypatch):
+        # 64 overlapping laws under noise 2000 lattice steps wide: the laws
+        # times the kernel's periods exceed PMF_MAX_VALUES, and the refusal
+        # comes before any tail sum. At 200 steps they fit.
         inst = bernoulli_instance(0.5 + 0.001 * np.arange(64))
-        assert epoch_selection_pmf(inst, MechanismSpec(1, NoiseKind.LAPLACE, epsilon=0.01),
-                                   8) is None
+        pmf = epoch_selection_pmf(inst, MechanismSpec(1, NoiseKind.LAPLACE, epsilon=0.01), 8)
+        assert abs(pmf.sum() - 1.0) <= 1e-12
         assert epoch_selection_pmf(inst, MechanismSpec(1, NoiseKind.LAPLACE, epsilon=1.0),
                                    8) is not None
+
+        def unused(*args, **kwargs):
+            raise AssertionError("tail sums taken for a refused epoch")
+
+        monkeypatch.setattr(mechanism, "_tail_sums", unused)
+        assert epoch_selection_pmf(inst, MechanismSpec(1, NoiseKind.LAPLACE, epsilon=0.001),
+                                   8) is None
 
     @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL,
                                       NoiseKind.GUMBEL])
     def test_steps_many_noise_scales_wide_take_the_fallback(self, kind, monkeypatch):
-        # At eps = 1e5 a unit step is h = 5e4 noise scales, which the kernel
-        # would refine to 5e4 steps, so the window holds 5e4 times as many
-        # values; the refusal comes before any kernel work. At h = 1 the
-        # window alone decides, and the epoch keeps its pmf.
+        # At eps = 1e7 a unit step is h = 5e6 noise scales, which
+        # `lattice_selection_pmf` would refine to 5e6 steps: two laws of 2 or
+        # 3 lattice values make a refined matrix of 1e7 or 2e7 values, over
+        # PMF_MAX_VALUES, and the refusal comes before the kernel. At h = 1
+        # the epoch keeps its pmf.
         inst = bernoulli_instance([0.2, 0.5])
         assert epoch_selection_pmf(inst, MechanismSpec(1, kind, epsilon=2.0), 2) is not None
 
         def unused(*args):
             raise AssertionError("lattice kernel called for a refused epoch")
 
-        monkeypatch.setattr(engine, "lattice_selection_pmf", unused)
+        monkeypatch.setattr(mechanism, "_lattice_hazard_pmf", unused)
         for length in (1, 2):
-            assert epoch_selection_pmf(inst, MechanismSpec(1, kind, epsilon=1e5), length) is None
+            assert epoch_selection_pmf(inst, MechanismSpec(1, kind, epsilon=1e7), length) is None
 
-    @pytest.mark.parametrize("eps", [2e3, 2e4])
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_binomial_matrix_over_the_budget_takes_the_fallback(self, kind, monkeypatch):
+        # At L = 2^40 two close means keep both laws, each within a Hoeffding
+        # radius of 7.3e6 counts: the (laws, window) matrix would hold 2.9e7
+        # values, and the refusal comes before any binomial pmf is built.
+        def unused(n, qs):
+            raise AssertionError("binomial pmfs built for a refused epoch")
+
+        monkeypatch.setattr(engine, "_binomial_pmfs", unused)
+        inst = parse_instance_spec("bern:0.3,0.3000000001")
+        assert epoch_selection_pmf(inst, _spec(1, kind, 1.0), 1 << 40) is None
+
+    def test_tie_classes_over_the_budget_are_refused(self, monkeypatch):
+        # One lattice law on 2048 values and 600 points at its top, passed to
+        # the kernel as they are: 601 laws times 2048 tie classes exceed
+        # PMF_MAX_VALUES, and the refusal comes before any node's product.
+        def unused(*args):
+            raise AssertionError("products formed for a refused tie split")
+
+        monkeypatch.setattr(mechanism, "_add_exclusive_products", unused)
+        pmfs = np.zeros((601, 2048))
+        pmfs[0] = 1.0 / 2048
+        pmfs[1:, 0] = 1.0
+        lows = np.concatenate([[0.0], np.full(600, 2047.0)])
+        sizes = np.concatenate([[2048], np.ones(600, dtype=int)])
+        assert mechanism.lattice_selection_pmf(lows, pmfs, sizes, 1.0, np.ones(601),
+                                               _spec(1, NoiseKind.NONE, 0.0)) is None
+
+    @pytest.mark.parametrize("eps", [2e3, 2e4, 1e5])
     @pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL,
                                       NoiseKind.GUMBEL])
     def test_steps_far_wider_than_the_noise_split_ties_evenly(self, kind, eps):
@@ -551,7 +588,7 @@ class TestEpochSelectionPmf:
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_one_surviving_action_is_one_hot_at_any_length(self, kind, monkeypatch):
-        # From 2^32 on the winner's binomial window is over PMF_MAX_VALUES,
+        # From 2^33 on the winner's binomial matrix is over PMF_MAX_VALUES,
         # but the loser is pruned, so no binomial pmf is needed; 2^70
         # overflows an int64 law column. Tied survivors share one law, so
         # they are uniform by exchangeability, with no pmf either.

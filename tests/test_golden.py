@@ -20,8 +20,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SWEEP_INSTANCES = ["paper-example", "bern:0,0.5", "bern:0.2,0.5,0.8", "grid:K=64"]
 
-# The graded Bernoulli instance of the bench's stochastic sweep.
+# The graded Bernoulli instance of the bench's stochastic sweep, and the
+# same family at K = 1024.
 GRADED_64 = "bern:" + ",".join(f"{0.2 + 0.6 * j / 63:.6f}" for j in range(64))
+GRADED_1024 = "bern:" + ",".join(f"{0.2 + 0.6 * j / 1023:.6f}" for j in range(1024))
 
 CASES = {
     "seed-gate.csv": ["run", "--instance", "grid:K=300", "--noise", "laplace", "--B", "1",
@@ -50,6 +52,10 @@ CASES = {
                                       "laplace", "--eps", "20", "--T", "1023"],
     "exact-bern-gumbel-eps2e4.txt": ["exact", "--instance", "bern:0.2,0.5", "--B", "1",
                                      "--T", "7", "--eps", "2e4", "--noise", "gumbel"],
+    # 1024 distinct lattice laws: the kernel's arrays peak at epochs 10 and
+    # 11, at about 3e5 values.
+    "exact-graded-1024-laplace.txt": ["exact", "--instance", GRADED_1024, "--B", "1",
+                                      "--noise", "laplace", "--eps", "1", "--T", "1048575"],
     # Two point masses and a Bernoulli(0.05) at B = 0: the floor prune of the
     # lattice kernel leaves only the two points.
     **{f"exact-bern-two-points-{noise}.txt": ["exact", "--instance", "bern:0,0,0.05", "--B", "0",
